@@ -1,11 +1,11 @@
 """Gap probabilities for Bures-Hall ensembles and the Cauchy-Laguerre two-matrix model.
 
-Layers, bottom up: special functions (specfun), precision linear algebra
-(plinalg), closed-form deformed bi-moments (bimoments), the bi-orthogonal
-system (bops), Christoffel-Darboux kernels (kernels), spectral/deformation
-Lax data (lax), the constrained deformation flow (flow), the public
-gap-probability routes (ensembles), independent oracles (oracles), and a
-batch CLI (cli).
+Layers, bottom up: special functions (specfun), double-double arithmetic
+(dd) and linear algebra (plinalg), closed-form deformed bi-moments
+(bimoments), the bi-orthogonal system (bops), Christoffel-Darboux kernels
+(kernels), spectral/deformation Lax data (lax), the constrained deformation
+flow (flow), the public gap-probability routes (ensembles), independent
+oracles (oracles), and a batch CLI (cli).
 """
 
 __version__ = "0.1.0"

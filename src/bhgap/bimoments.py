@@ -100,19 +100,6 @@ def bimoment(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
     return v
 
 
-def bimoment_matrix(p: ModelParams, d: DeformPoint, order: int) -> np.ndarray:
-    """The order x order grid (M_{j,k})."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    m = np.array([[bimoment(j, k, p, d) for k in range(order)] for j in range(order)])
-    return m
-
-
-def bimoment_matrix_xshift(p: ModelParams, d: DeformPoint, order: int) -> np.ndarray:
-    """The grid (M_{j+1,k}) used for <x P, Q> bilinears."""
-    return np.array([[bimoment(j + 1, k, p, d) for k in range(order)] for j in range(order)])
-
-
 # ---------------------------------------------------------------------------
 # unconstrained Bures-Hall (single species; uses a, xi, s only)
 # ---------------------------------------------------------------------------

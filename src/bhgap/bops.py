@@ -19,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import dd, plinalg
-from .bimoments import alpha_moment, beta_moment, bimoment, bimoment_matrix
+from .bimoments import alpha_moment, beta_moment
 from .params import INF, DeformPoint, DomainError, GenericityError, ModelParams
-from .specfun import gamma, gamma2, gamma2_boxed, gamma2_boxed_dd, gamma_lower, gamma_upper
+from .specfun import gamma, gamma2, gamma2_boxed, gamma2_boxed_dd, gamma_upper
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class BopsState:
     @property
     def etavec(self) -> np.ndarray:
         return np.array([self.eta_triple[2], self.eta_triple[1], self.eta_triple[0]])
-
-
-def _moment_gram(p: ModelParams, d: DeformPoint, order: int) -> np.ndarray:
-    return bimoment_matrix(p, d, order)
 
 
 def _dd_dot(u, v):
@@ -297,10 +293,12 @@ def _cdd_sqrt(h):
 
 
 def zdet(p: ModelParams, d: DeformPoint, k: int) -> float:
-    """Deformed partition determinant Z_k (Z_0 = 1)."""
+    """Deformed partition determinant Z_k (Z_0 = 1): the DD determinant of
+    the same compensated Gram the determinant route uses."""
     if k == 0:
         return 1.0
-    return plinalg.det(_moment_gram(p, d, k))
+    det = plinalg.dd_lu_det(_dd_gram(p, d, k)[0])
+    return det if isinstance(det, float) else dd.unwrap(det)
 
 
 def inner_product(p: ModelParams, d: DeformPoint, pc: np.ndarray, qc: np.ndarray,
@@ -479,6 +477,23 @@ class EvalBundle:
         return EvalBundle(self.n, self.s, self.t, self.a, self.b, self.xi, self.psi,
                           self.p.copy(), self.q.copy(), self.p1.copy(), self.q1.copy(),
                           self.piv.copy(), self.etav.copy(), self.X, self.Y, self.sv.copy())
+
+
+def deformation_weights(eb: EvalBundle):
+    """(ws, wt, wS, wT): the deformation weights ws = xi s^a e^-s and
+    wt = psi t^b e^-t at the cutoffs, and wS = s ws, wT = t wt.
+
+    All four are zero at an infinite sentinel cutoff, where the weight
+    vanishes and every term it multiplies drops out of the dynamics.
+    """
+    ws = wS = wt = wT = 0.0
+    if eb.s != INF:
+        ws = eb.xi * eb.s ** eb.a * math.exp(-eb.s)
+        wS = ws * eb.s
+    if eb.t != INF:
+        wt = eb.psi * eb.t ** eb.b * math.exp(-eb.t)
+        wT = wt * eb.t
+    return ws, wt, wS, wT
 
 
 def _dd_polyval(coeffs_dd, z, iscomplex):

@@ -4,8 +4,8 @@ Subcommands: gap (generating-function values over a cutoff grid), verify
 (identity residual table), flow (trajectory export), bhft (fixed-trace
 sweep), bops (bi-orthogonal data table), oracle (quadrature/MC reference
 values).  Configuration comes from flags or a JSON document (flags win).
-Every record carries the full parameter tuple, route, precision, and library
-version; numeric columns round-trip at 17 significant digits.
+Every record carries the full parameter tuple, route, and library version;
+numeric columns round-trip at 17 significant digits.
 
 Exit codes: 0 success, 1 error, 2 precision-degraded.
 """
@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from . import __version__, ensembles, flow as flowmod, oracles
 from .bops import build_state, recurrence_coeffs
 from .kernels import anti_incidence_residuals, cd_bilinear, cd_form_00, kernel_sum, sigma_tau
 from .lax import build_lax, pairwise_trace_residuals, residue_invariants, schlesinger_residuals
-from .params import INF, DeformPoint, ModelParams, PrecisionWarning
-from .plinalg import Precision
+from .params import DeformPoint, ModelParams, PrecisionWarning
 
 _FMT = "%.17g"
 
@@ -69,7 +67,6 @@ def _base_parser(sub):
     sub.add_argument("--t", type=float, action="append", default=None)
     sub.add_argument("--route", default=None,
                      choices=["determinant", "pfaffian", "flow", "laplace", "oracle"])
-    sub.add_argument("--precision", default=None, choices=["standard", "extended"])
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", dest="fmt", default=None, choices=["csv", "json"])
@@ -77,10 +74,10 @@ def _base_parser(sub):
 
 
 _DEFAULTS = {"m": 2, "a": 0.0, "b": 0.0, "xi": 1.0, "psi": 1.0, "s": [1.0],
-             "t": [1.0], "route": "determinant", "precision": "standard",
-             "seed": 12345, "out": None, "fmt": "csv", "n": None, "tol": 1e-8,
-             "n_samples": 100000, "s0": 1.0, "t0": 1.0, "s1": None, "t1": None,
-             "nmax": 4, "perturb": False}
+             "t": [1.0], "route": "determinant", "seed": 12345, "out": None,
+             "fmt": "csv", "n": None, "tol": 1e-8, "n_samples": 100000,
+             "s0": 1.0, "t0": 1.0, "s1": None, "t1": None, "nmax": 4,
+             "perturb": False}
 
 
 def _merge_config(args) -> dict:
@@ -114,18 +111,16 @@ def _grid(cfg):
 def _record_base(cfg, s, t):
     return {"s": s, "t": t, "xi": cfg["xi"], "psi": cfg["psi"], "m": cfg["m"],
             "a": cfg["a"], "b": cfg["b"], "route": cfg["route"],
-            "precision": cfg["precision"], "version": __version__}
+            "version": __version__}
 
 
 _GAP_COLUMNS = ["s", "t", "xi", "psi", "m", "a", "b", "Z", "est_error",
-                "std_error", "route", "precision", "version"]
+                "std_error", "route", "version"]
 
 
 def cmd_gap(cfg) -> int:
     p = _params(cfg)
-    prec = Precision(cfg["precision"])
     route = cfg["route"]
-    degraded = False
 
     def one(point):
         s, t = point
@@ -135,9 +130,9 @@ def cmd_gap(cfg) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if route == "determinant":
-                r = ensembles.z_cl2m(p, d, prec)
+                r = ensembles.z_cl2m(p, d)
             elif route == "pfaffian":
-                r = ensembles.z_ubh(p, s, prec)
+                r = ensembles.z_ubh(p, s)
             elif route == "laplace":
                 r = ensembles.z_bhft(p, t)
             elif route == "flow":
@@ -154,8 +149,7 @@ def cmd_gap(cfg) -> int:
         rec["est_error"] = r.est_error
         return rec, warned
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(one, _grid(cfg)))
+    results = [one(point) for point in _grid(cfg)]
     records = [r for r, _ in results]
     degraded = any(w for _, w in results)
     _write_records(records, _GAP_COLUMNS, cfg["out"], cfg["fmt"])
@@ -175,8 +169,7 @@ def cmd_bhft(cfg) -> int:
         rec["std_error"] = 0.0
         return rec
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(one, cfg["t"]))
+    records = [one(t) for t in cfg["t"]]
     _write_records(records, _GAP_COLUMNS, cfg["out"], cfg["fmt"])
     return 0
 
@@ -198,7 +191,7 @@ def cmd_bops(cfg) -> int:
             rec.update({"r2": "", "r1": "", "r0": "", "rm1": ""})
         records.append(rec)
     cols = ["n", "s", "t", "xi", "psi", "a", "b", "S_n", "pi_n", "eta_n",
-            "pi_eta", "X_nn", "Y_nn", "r2", "r1", "r0", "rm1", "precision", "version"]
+            "pi_eta", "X_nn", "Y_nn", "r2", "r1", "r0", "rm1", "version"]
     _write_records(records, cols, cfg["out"], cfg["fmt"])
     return 0
 
@@ -217,8 +210,8 @@ def cmd_flow(cfg) -> int:
             + [f"resid_{i}" for i in range(1, 9)])
     records = [{c: row[i] for i, c in enumerate(cols)} for row in table]
     for rec in records:
-        rec.update({"precision": cfg["precision"], "version": __version__})
-    _write_records(records, cols + ["precision", "version"], cfg["out"], cfg["fmt"])
+        rec["version"] = __version__
+    _write_records(records, cols + ["version"], cfg["out"], cfg["fmt"])
     return 0
 
 

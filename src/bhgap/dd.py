@@ -1,8 +1,9 @@
-"""Compensated double-double arithmetic for the extended-precision mode.
+"""Compensated double-double arithmetic, the working precision of the Gram
+assembly and of the moment routes' determinants, solves and Pfaffians.
 
 A DD holds an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, giving ~31
-significant digits.  CDD is the complex pair.  Only the operations the
-LU / Parlett-Reid kernels need are provided.
+significant digits.  CDD is the complex pair.  Only the operations those
+layers need are provided.
 """
 from __future__ import annotations
 

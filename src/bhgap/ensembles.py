@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dd, plinalg
-from .bimoments import (
-    bimoment_matrix,
-    ubh_pf_border_rescaled,
-    ubh_pf_element_rescaled,
-    ubh_pf_matrix,
-)
+from .bimoments import ubh_pf_border_rescaled, ubh_pf_element_rescaled
 from .params import ContourError, DeformPoint, DomainError, ModelParams, PrecisionWarning
 from .specfun import log_gamma
 
@@ -75,8 +70,7 @@ def _warn_precision(est_rel: float, what: str):
                       PrecisionWarning)
 
 
-def z_cl2m(p: ModelParams, d: DeformPoint,
-           precision: plinalg.Precision = plinalg.Precision.STANDARD) -> GapResult:
+def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
     """Two-matrix-model gap generating function by the moment determinant.
 
     The Gram comes from the structurally consistent compensated construction
@@ -87,11 +81,6 @@ def z_cl2m(p: ModelParams, d: DeformPoint,
     from .bops import _dd_gram
 
     c, _, _ = normalizations(p)
-    if p.m == 1:
-        from .bimoments import bimoment
-
-        val = bimoment(0, 0, p, d) / c
-        return GapResult(val, Route.DETERMINANT, abs(val) * 1e-12)
 
     def go(hi_fidelity):
         mdd, _, _, _ = _dd_gram(p, d, p.m, hi_fidelity)
@@ -112,7 +101,6 @@ def z_cl2m(p: ModelParams, d: DeformPoint,
 def _ubh_pf_dd(p: ModelParams, s: float, hi_fidelity: bool = False):
     """DD Pfaffian of the one-species element matrix, with the elements taken
     as differences of the consistent equal-species Gram."""
-    from . import dd as _dd
     from .bops import _dd_gram
 
     m = p.m
@@ -120,7 +108,7 @@ def _ubh_pf_dd(p: ModelParams, s: float, hi_fidelity: bool = False):
     d = DeformPoint(s, s)
     size = m + 1 if m % 2 == 0 else m + 2
     mdd, aldd, _, iscx = _dd_gram(eq, d, size, hi_fidelity and not isinstance(p.xi, complex))
-    zero = _dd.wrap(0.0, iscx)
+    zero = dd.wrap(0.0, iscx)
     if m % 2 == 0:
         mat = [[zero for _ in range(m)] for _ in range(m)]
         for j in range(m):
@@ -138,7 +126,7 @@ def _ubh_pf_dd(p: ModelParams, s: float, hi_fidelity: bool = False):
                 mat[j + 1][k + 1] = v
                 mat[k + 1][j + 1] = -v
     pf = plinalg.dd_pfaffian(mat)
-    return pf if isinstance(pf, float) else _dd.unwrap(pf)
+    return pf if isinstance(pf, float) else dd.unwrap(pf)
 
 
 def _pf_sign(p: ModelParams, s: float) -> float:
@@ -150,8 +138,7 @@ def _pf_sign(p: ModelParams, s: float) -> float:
     return 1.0 if complex(raw).real > 0 else -1.0
 
 
-def z_ubh(p: ModelParams, s: float | None = None,
-          precision: plinalg.Precision = plinalg.Precision.STANDARD) -> GapResult:
+def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
     """One-species gap generating function by the skew Pfaffian route."""
     ss = s if s is not None else 1.0
     _, c_ubh, _ = normalizations(p)

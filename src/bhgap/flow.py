@@ -13,13 +13,13 @@ least-squares projection onto the four linear relations is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, lax
-from .bops import EvalBundle, build_state, eval_bundle, zdet
-from .params import DeformPoint, DomainError, GenericityError, ModelParams
+from .bops import EvalBundle, build_state, deformation_weights, eval_bundle, zdet
+from .params import INF, DeformPoint, DomainError, ModelParams
 
 
 class FlowAbort(RuntimeError):
@@ -86,12 +86,6 @@ def _ratios(eb: EvalBundle):
     return rp, rm
 
 
-def _weights(eb: EvalBundle):
-    ws = eb.xi * eb.s ** eb.a * math.exp(-eb.s)
-    wt = eb.psi * eb.t ** eb.b * math.exp(-eb.t)
-    return ws, wt
-
-
 def _a0_plus(eb: EvalBundle, wT: float) -> np.ndarray:
     n, a, b, s = eb.n, eb.a, eb.b, eb.s
     rp, rm = _ratios(eb)
@@ -155,8 +149,7 @@ def rhs_total_s(fs: FlowState, p: ModelParams, lb=None, kv=None) -> np.ndarray:
     if kv is None:
         kv = _kernels_from_state(eb, lb)
     s, t = eb.s, eb.t
-    ws, wt = _weights(eb)
-    wS, wT = ws * s, wt * t
+    ws, wt, wS, wT = deformation_weights(eb)
     rp, rm = _ratios(eb)
     adiag = 0.5 * wS * np.diag([eb.p[0] * eb.q1[0], -eb.p[1] * eb.q1[1],
                                 -eb.p[2] * eb.q1[2]])
@@ -182,8 +175,7 @@ def rhs_total_t(fs: FlowState, p: ModelParams, lb=None, kv=None) -> np.ndarray:
     if kv is None:
         kv = _kernels_from_state(eb, lb)
     s, t = eb.s, eb.t
-    ws, wt = _weights(eb)
-    wS, wT = ws * s, wt * t
+    ws, wt, wS, wT = deformation_weights(eb)
     rp, rm = _ratios(eb)
     ddiag = 0.5 * wT * np.diag([eb.p1[0] * eb.q[0], -eb.p1[1] * eb.q[1],
                                 -eb.p1[2] * eb.q[2]])
@@ -209,10 +201,12 @@ def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
     """The eight constraint residuals, each normalized by its largest term."""
     eb = fs.bundle
     n, a, b, s, t = eb.n, eb.a, eb.b, eb.s, eb.t
-    ws, wt = _weights(eb)
-    wS, wT = ws * s, wt * t
+    _, _, wS, wT = deformation_weights(eb)
     rp, rm = _ratios(eb)
     pe = eb.piv[1] * eb.etav[1]
+    # at an infinite cutoff that side's boundary values are zero and enter
+    # only through the vanishing weight: its brackets and bilinear are zero
+    fin_s, fin_t = s != INF, t != INF
     out = np.zeros(8)
 
     def norm(vals):
@@ -235,24 +229,26 @@ def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
           wT * rp * eb.p1[1] * eb.q[0], wT * rm * eb.p1[2] * eb.q[1]]
     out[3] = (eb.Y - (t4[1] - t4[2] - (t4[3] - t4[4]) - (t4[5] - t4[6]))) / norm(t4)
     # (5) X vs eta ratios
-    bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2]
-    bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2]
+    bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2] if fin_s else 0.0
+    bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2] if fin_t else 0.0
     t5 = [eb.X, n + a, rp * eb.etav[0] / eb.etav[1], rm * eb.etav[2] / eb.etav[1],
           wS / pe * eb.q1[1] * bry_p, wT / pe * eb.q[1] * bry_p1]
     out[4] = (eb.X - t5[1] - t5[2] + t5[3] + t5[4] + t5[5]) / norm(t5)
     # (6) Y vs pi ratios
-    brx_q1 = rp * eb.q1[0] - (eb.X - s) * eb.q1[1] - rm * eb.q1[2]
-    brx_q = rp * eb.q[0] - (eb.X + t) * eb.q[1] - rm * eb.q[2]
+    brx_q1 = rp * eb.q1[0] - (eb.X - s) * eb.q1[1] - rm * eb.q1[2] if fin_s else 0.0
+    brx_q = rp * eb.q[0] - (eb.X + t) * eb.q[1] - rm * eb.q[2] if fin_t else 0.0
     t6 = [eb.Y, n + b, rp * eb.piv[0] / eb.piv[1], rm * eb.piv[2] / eb.piv[1],
           wS / pe * eb.p[1] * brx_q1, wT / pe * eb.p1[1] * brx_q]
     out[5] = (eb.Y - t6[1] - t6[2] + t6[3] + t6[4] + t6[5]) / norm(t6)
     # (7)+(8) bilinear orthogonality at anti-incidence
-    g_s = kernels.gmatrix(eb, s, -s)
-    v7 = eb.p @ g_s @ eb.q1
-    out[6] = v7 / norm([abs(eb.p).max() * abs(g_s @ eb.q1).max()])
-    g_t = kernels.gmatrix(eb, -t, t)
-    v8 = eb.p1 @ g_t @ eb.q
-    out[7] = v8 / norm([abs(eb.p1).max() * abs(g_t @ eb.q).max()])
+    if fin_s:
+        g_s = kernels.gmatrix(eb, s, -s)
+        v7 = eb.p @ g_s @ eb.q1
+        out[6] = v7 / norm([abs(eb.p).max() * abs(g_s @ eb.q1).max()])
+    if fin_t:
+        g_t = kernels.gmatrix(eb, -t, t)
+        v8 = eb.p1 @ g_t @ eb.q
+        out[7] = v8 / norm([abs(eb.p1).max() * abs(g_t @ eb.q).max()])
     return out
 
 
@@ -261,8 +257,7 @@ def constraint_linear_system(fs: FlowState, p: ModelParams):
     eta_{n+1}, eta_{n-1}); the paper proves it has rank three."""
     eb = fs.bundle
     n, a, b, s, t = eb.n, eb.a, eb.b, eb.s, eb.t
-    ws, wt = _weights(eb)
-    wS, wT = ws * s, wt * t
+    _, _, wS, wT = deformation_weights(eb)
     rp, rm = _ratios(eb)
     pe = eb.piv[1] * eb.etav[1]
     A = np.zeros((4, 4))
@@ -316,7 +311,7 @@ def rhs_decomposition_residual(fs: FlowState, p: ModelParams) -> float:
     qb = lax.q_side_lax(eb)
     kv = _kernels_from_state(eb, lb)
     s, t, a, b = eb.s, eb.t, eb.a, eb.b
-    ws, wt = _weights(eb)
+    ws, wt, _, _ = deformation_weights(eb)
     tot_s = rhs_total_s(fs, p, lb, kv)
     tot_t = rhs_total_t(fs, p, lb, kv)
     worst = 0.0
@@ -380,10 +375,11 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
 
     At every accepted step the eight constraint residuals are evaluated; a
     step whose worst residual exceeds 100*tol is rejected and halved.  Below
-    the floor step the flow aborts with the offending constraint.
+    the floor step the flow aborts with the offending constraint.  A NaN
+    error estimate or residual fails its guard like an oversized one.
     """
     init_res = np.abs(constraint_residuals(fs0, p)).max()
-    if init_res > 1e-8:
+    if not init_res <= 1e-8:
         raise FlowAbort(f"initial state violates constraints ({init_res:.2e})")
     traj = [fs0]
     segs = _path_segments(path)
@@ -395,6 +391,8 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
         seg_len = math.hypot(ds, dt)
         if seg_len == 0:
             continue
+        if not math.isfinite(seg_len):
+            raise DomainError(f"path segment ({s0}, {t0}) -> ({s1}, {t1}) is not finite")
         floor = 1e-12 * seg_len
 
         def f(u, y):
@@ -425,7 +423,7 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
             y4 = y + h * (_DP_B4 @ karr)
             scale = np.max(np.abs(y)) + 1.0
             err = np.max(np.abs(y5 - y4)) / scale
-            if err > tol:
+            if not err <= tol:
                 h = max(0.5 * h, floor)
                 if h <= floor:
                     raise FlowAbort(f"step size underflow (err {err:.2e})")
@@ -434,7 +432,7 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
             cand = FlowState.from_vector(y5, template, s0 + (u + h) * ds,
                                          t0 + (u + h) * dt)
             res = np.abs(constraint_residuals(cand, p))
-            if res.max() > 100 * tol:
+            if not res.max() <= 100 * tol:
                 h = 0.5 * h
                 if h <= floor:
                     raise FlowAbort(
@@ -464,8 +462,7 @@ def g_derivative_check(fs: FlowState, p: ModelParams, h: float = 1e-4):
     moment route against the closed right-hand sides."""
     eb = fs.bundle
     s, t = eb.s, eb.t
-    ws, wt = _weights(eb)
-    wS, wT = ws * s, wt * t
+    ws, wt, wS, wT = deformation_weights(eb)
     pe = eb.piv[1] * eb.etav[1]
     lb = lax.build_lax(eb)
     kv = _kernels_from_state(eb, lb)

@@ -9,12 +9,11 @@ division.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bops import BopsState, EvalBundle, assoc1, build_state, eval_bundle, intertwined
-from .params import DomainError, GenericityError
+from .bops import (BopsState, EvalBundle, assoc1, build_state, deformation_weights,
+                   eval_bundle, intertwined)
+from .params import DomainError
 
 
 def _xy(state_or_eb):
@@ -35,11 +34,6 @@ def gmatrix(state_or_eb, x, y) -> np.ndarray:
         [sn / sp * (X - x), (X + y) * (Y + x), rm * (Y + x)],
         [-sm / sp, rm * (X + y), rm ** 2],
     ])
-
-
-def gmatrix_q(state_or_eb, y, x) -> np.ndarray:
-    """G for the mirrored (Q-side) system; equals G_n(x, y)^T."""
-    return gmatrix(state_or_eb, x, y).T
 
 
 def pvec(state: BopsState, x, mu: int = 0) -> np.ndarray:
@@ -194,17 +188,16 @@ def sigma_tau(state_or_eb, lax_bundle=None):
         eb = state_or_eb
         if eb.n == 0:
             return 0.0, 0.0
-    ws = eb.xi * eb.s ** (eb.a + 1.0) * math.exp(-eb.s) if eb.s != math.inf else 0.0
-    wt = eb.psi * eb.t ** (eb.b + 1.0) * math.exp(-eb.t) if eb.t != math.inf else 0.0
-    if ws == 0.0 and wt == 0.0:
+    _, _, wS, wT = deformation_weights(eb)
+    if wS == 0.0 and wT == 0.0:
         return 0.0, 0.0
     if lax_bundle is None:
         lax_bundle = _lax.build_lax(eb)
     sigma = tau = 0.0
-    if ws != 0.0:
+    if wS != 0.0:
         k01 = kernel01_limit(eb, lax_bundle) - eb.p[1] * eb.q1[1]  # limit at n, shifted to n-1
-        sigma = -ws * k01
-    if wt != 0.0:
+        sigma = -wS * k01
+    if wT != 0.0:
         k10 = kernel10_limit(eb, lax_bundle) - eb.p1[1] * eb.q[1]
-        tau = -wt * k10
+        tau = -wT * k10
     return sigma, tau

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bops import BopsState, eval_bundle, build_state, EvalBundle
+from .bops import BopsState, EvalBundle, build_state, deformation_weights, eval_bundle
 from .kernels import gmatrix
 from .params import DomainError, GenericityError
 
@@ -46,12 +46,6 @@ def _as_bundle(state_or_eb) -> EvalBundle:
     if isinstance(state_or_eb, BopsState):
         return eval_bundle(state_or_eb)
     return state_or_eb
-
-
-def _weights(eb: EvalBundle):
-    ws = eb.xi * eb.s ** eb.a * math.exp(-eb.s) if eb.s != math.inf else 0.0
-    wt = eb.psi * eb.t ** eb.b * math.exp(-eb.t) if eb.t != math.inf else 0.0
-    return ws, wt
 
 
 def _brackets(eb: EvalBundle):
@@ -89,9 +83,7 @@ def build_lax(state_or_eb) -> LaxBundle:
     pe = piv[1] * etav[1]
     if pe == 0:
         raise GenericityError("pi_n eta_n vanished", index=n)
-    ws, wt = _weights(eb)
-    wS = ws * s if s != math.inf else 0.0
-    wT = wt * t if t != math.inf else 0.0
+    ws, wt, wS, wT = deformation_weights(eb)
     A_inf = np.array([[0.0, piv[0] / piv[1], 0.0],
                       [0.0, 1.0, 0.0],
                       [0.0, piv[2] / piv[1], 0.0]])
@@ -174,9 +166,9 @@ def spectral_polys(state_or_eb, x):
     pe = eb.piv[1] * eb.etav[1]
     rp = eb.sv[1] / eb.sv[0]
     rm = eb.sv[2] / eb.sv[1]
-    ws, wt = _weights(eb)
-    cs = ws * s * eb.p[1]
-    ct = wt * t * eb.p1[1]
+    _, _, wS, wT = deformation_weights(eb)
+    cs = wS * eb.p[1]
+    ct = wT * eb.p1[1]
     brx_s, bry_s, brx_t, bry_t = _brackets(eb)
     q1, qt = eb.q1, eb.q
     X, Y = eb.X, eb.Y
@@ -235,7 +227,7 @@ def pairwise_trace_residuals(state_or_eb, bundle: LaxBundle | None = None) -> di
         bundle = build_lax(eb)
     s, t = eb.s, eb.t
     pe = eb.piv[1] * eb.etav[1]
-    ws, wt = _weights(eb)
+    ws, wt, _, _ = deformation_weights(eb)
     g_s = gmatrix(eb, s, -s)
     g_t = gmatrix(eb, -t, t)
     out = {}

@@ -1,23 +1,16 @@
-"""Determinants, Pfaffians, and linear solves at configurable working precision.
+"""Determinants, Pfaffians, and linear solves.
 
-Standard mode delegates det/solve to LAPACK (pivoted LU) through numpy; the
-Pfaffian is a Parlett-Reid skew tridiagonalization with partial pivoting and
-exact sign tracking through the permutation parity.  Extended mode reruns the
-same algorithms in compensated double-double scalars.
+The moment routes take their pivoted-LU determinant, LU solve and
+Parlett-Reid Pfaffian over compensated double-double (DD/CDD) scalars.  The
+float64 Pfaffian serves the Laplace-contour evaluations.  Both Pfaffians are
+skew tridiagonalizations with partial pivoting and exact sign tracking
+through the permutation parity.
 """
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from . import dd
 from .params import DomainError, SingularMatrixError
-
-
-class Precision(enum.Enum):
-    STANDARD = "standard"
-    EXTENDED = "extended"
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -27,13 +20,6 @@ def _as_matrix(mat) -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     return a
-
-
-def dd_wrap_matrix(a: np.ndarray):
-    """Matrix of DD/CDD scalars from a numpy array (exact embedding)."""
-    iscomplex = np.iscomplexobj(a)
-    n, m = a.shape
-    return [[dd.wrap(a[i, j], iscomplex) for j in range(m)] for i in range(n)]
 
 
 def dd_lu_det(A):
@@ -67,7 +53,7 @@ def dd_lu_solve(A, b):
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(A[i][k]))
         if abs(A[p][k]) == 0.0:
-            raise SingularMatrixError("singular matrix in extended solve")
+            raise SingularMatrixError("singular matrix in DD solve")
         if p != k:
             A[p], A[k] = A[k], A[p]
             x[p], x[k] = x[k], x[p]
@@ -82,43 +68,6 @@ def dd_lu_solve(A, b):
             acc = acc - A[k][j] * x[j]
         x[k] = acc / A[k][k]
     return x
-
-
-def _generic_lu_det(a: np.ndarray):
-    v = dd_lu_det(dd_wrap_matrix(a))
-    return v if isinstance(v, float) else dd.unwrap(v)
-
-
-def det(mat, precision: Precision = Precision.STANDARD):
-    """Determinant via pivoted LU; the empty matrix gives exactly 1."""
-    a = _as_matrix(mat)
-    if a.shape[0] == 0:
-        return 1.0
-    if precision is Precision.EXTENDED:
-        return _generic_lu_det(a.astype(complex) if np.iscomplexobj(a) else a.astype(float))
-    v = np.linalg.det(a)
-    return complex(v) if np.iscomplexobj(a) else float(v)
-
-
-def _pfaffian_float(a: np.ndarray):
-    A = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
-    n = A.shape[0]
-    pf = 1.0 + 0j if np.iscomplexobj(a) else 1.0
-    for k in range(0, n - 2, 2):
-        p = int(np.argmax(np.abs(A[k + 1:, k]))) + k + 1
-        if p != k + 1:
-            A[[k + 1, p], :] = A[[p, k + 1], :]
-            A[:, [k + 1, p]] = A[:, [p, k + 1]]
-            pf = -pf
-        piv = A[k + 1, k]
-        if piv == 0:
-            return 0.0
-        pf *= A[k, k + 1]  # super-diagonal of the skew tridiagonal factor
-        for i in range(k + 2, n):
-            f = A[i, k] / piv
-            A[i, :] -= f * A[k + 1, :]
-            A[:, i] -= f * A[:, k + 1]
-    return pf * A[n - 2, n - 1]
 
 
 def dd_pfaffian(A):
@@ -148,12 +97,7 @@ def dd_pfaffian(A):
     return out if sign > 0 else -out
 
 
-def _pfaffian_generic(a: np.ndarray):
-    v = dd_pfaffian(dd_wrap_matrix(a))
-    return v if isinstance(v, float) else dd.unwrap(v)
-
-
-def pfaffian(mat, precision: Precision = Precision.STANDARD, check_skew: bool = True):
+def pfaffian(mat, check_skew: bool = True):
     """Pfaffian of an even-order skew-symmetric matrix (Parlett-Reid).
 
     The sign is tracked exactly through the permutation parity, so pf(M)^2 =
@@ -169,39 +113,20 @@ def pfaffian(mat, precision: Precision = Precision.STANDARD, check_skew: bool = 
         scale = np.linalg.norm(a)
         if scale > 0 and np.linalg.norm(a + a.T) > 1e-10 * scale:
             raise DomainError("matrix fails the skew-symmetry check")
-    if precision is Precision.EXTENDED:
-        return _pfaffian_generic(a)
-    return _pfaffian_float(a)
-
-
-def _generic_lu_solve(a: np.ndarray, b: np.ndarray):
-    iscomplex = np.iscomplexobj(a) or np.iscomplexobj(b)
-    A = dd_wrap_matrix(a.astype(complex) if iscomplex else a)
-    x = [dd.wrap(v, iscomplex) for v in b]
-    return np.array([dd.unwrap(v) for v in dd_lu_solve(A, x)])
-
-
-def solve(mat, rhs, precision: Precision = Precision.STANDARD) -> np.ndarray:
-    """Solve mat @ x = rhs with one step of iterative refinement.
-
-    Raises SingularMatrixError (with the estimated condition number) when the
-    residual cannot be brought under 1e-10 * ||rhs||.
-    """
-    a = _as_matrix(mat)
-    b = np.asarray(rhs)
-    if b.shape != (a.shape[0],):
-        raise DomainError(f"rhs shape {b.shape} does not match order {a.shape[0]}")
-    if a.shape[0] == 0:
-        return np.zeros(0)
-    if precision is Precision.EXTENDED:
-        return _generic_lu_solve(a, b)
-    try:
-        x = np.linalg.solve(a, b)
-        r = b - a @ x
-        x = x + np.linalg.solve(a, r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    resid = np.linalg.norm(b - a @ x)
-    if not np.all(np.isfinite(x)) or resid > 1e-10 * max(np.linalg.norm(b), 1e-300):
-        raise SingularMatrixError("solve residual too large", cond=float(np.linalg.cond(a)))
-    return x
+    A = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
+    pf = 1.0 + 0j if np.iscomplexobj(a) else 1.0
+    for k in range(0, n - 2, 2):
+        p = int(np.argmax(np.abs(A[k + 1:, k]))) + k + 1
+        if p != k + 1:
+            A[[k + 1, p], :] = A[[p, k + 1], :]
+            A[:, [k + 1, p]] = A[:, [p, k + 1]]
+            pf = -pf
+        piv = A[k + 1, k]
+        if piv == 0:
+            return 0.0
+        pf *= A[k, k + 1]  # super-diagonal of the skew tridiagonal factor
+        for i in range(k + 2, n):
+            f = A[i, k] / piv
+            A[i, :] -= f * A[k + 1, :]
+            A[:, i] -= f * A[:, k + 1]
+    return pf * A[n - 2, n - 1]

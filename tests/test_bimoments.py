@@ -8,7 +8,6 @@ from bhgap.bimoments import (
     alpha_moment,
     beta_moment,
     bimoment,
-    bimoment_matrix,
     ubh_pf_border,
     ubh_pf_element,
     ubh_pf_element_rescaled,
@@ -88,9 +87,8 @@ def test_bimoment_vs_quadrature(jk, ab):
 
 def test_bimoment_matrix_order1_and_2():
     p0 = ModelParams(m=2, a=0.0, b=0.0, xi=0.0, psi=0.0)
-    m1 = bimoment_matrix(p0, D, 1)
-    assert abs(m1[0, 0] - bimoment(0, 0, p0, D)) == 0.0
-    m2 = bimoment_matrix(p0, D, 2)
+    assert bimoment(0, 0, p0, D) == 1.0
+    m2 = [[bimoment(j, k, p0, D) for k in range(2)] for j in range(2)]
     assert np.allclose(m2, [[1.0, 0.5], [0.5, 1.0 / 3.0]], rtol=1e-13)
 
 

@@ -34,6 +34,15 @@ def test_gap_grid_product_and_roundtrip(tmp_path):
     assert repr(float(rows[0]["Z"])) == repr(z)  # 17 digits round-trip
 
 
+def test_gap_precision_degraded_exit_code(tmp_path):
+    # z_ubh at m=5, s=0.5 is ~5e-16, below its absolute error floor, and warns
+    out = tmp_path / "gap.csv"
+    argv = ["gap", "--route", "pfaffian", "--m", "5", "--a", "0.5", "--out", str(out)]
+    assert main(argv + ["--s", "0.5", "--s", "5"]) == 2
+    assert [float(r["s"]) for r in read_csv(out)] == [0.5, 5.0]
+    assert main(argv + ["--s", "5"]) == 0
+
+
 def test_gap_oracle_route_has_std_error(tmp_path):
     out = tmp_path / "o.csv"
     rc = main(["oracle", "--m", "1", "--a", "0", "--b", "0", "--xi", "1",

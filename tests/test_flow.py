@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bhgap.bops import build_state, eval_bundle, zdet
+from bhgap.ensembles import normalizations, z_cl2m
 from bhgap.flow import (
     FlowAbort,
     FlowState,
@@ -18,7 +19,7 @@ from bhgap.flow import (
     rhs_total_t,
     trajectory_table,
 )
-from bhgap.params import DeformPoint, ModelParams
+from bhgap.params import INF, DeformPoint, DomainError, ModelParams
 
 P = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
 D = DeformPoint(1.0, 1.0)
@@ -142,6 +143,33 @@ def test_bad_initial_state_aborts():
     eb.X += 0.01
     with pytest.raises(FlowAbort):
         integrate(FlowState(eb, fs.logZ), P, [(1.0, 1.0), (1.2, 1.0)])
+
+
+def test_nan_initial_state_aborts():
+    fs = from_moments(P, D, 2)
+    eb = fs.bundle.copy()
+    eb.X = math.nan
+    with pytest.raises(FlowAbort):
+        integrate(FlowState(eb, fs.logZ), P, [(1.0, 1.0), (1.2, 1.0)])
+
+
+@pytest.mark.parametrize("d", [DeformPoint(INF, 2.0), DeformPoint(2.0, INF)])
+def test_constraints_finite_at_infinite_cutoff(d):
+    assert np.all(np.isfinite(constraint_residuals(from_moments(P, d, 2), P)))
+
+
+def test_infinite_path_segment_rejected():
+    fs = from_moments(P, DeformPoint(INF, 2.0), 2)
+    with pytest.raises(DomainError):
+        integrate(fs, P, [(INF, 2.0), (INF, 2.5)])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_start_logz_matches_determinant_route(m):
+    p = ModelParams(m=m, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    c, _, _ = normalizations(p)
+    want = math.log(z_cl2m(p, D).value * c)
+    assert abs(from_moments(p, D, m).logZ - want) <= 1e-9
 
 
 def test_projection_repairs_neighbor_perturbation():
