@@ -1,10 +1,13 @@
 """Deformed Cauchy-Laguerre bi-orthogonal system at a fixed deformation point.
 
-Polynomial coefficients come from the linear orthogonality system (the
-bordered-determinant representation is kept as a test identity, not the
-algorithm).  Associated functions of the first type are built by the moment
-recursion on Cauchy-transform integrals; the base case is the Stieltjes
-transform expressed through Gamma2.
+Polynomial coefficients and norms come from one triangular factorization of
+the bimoment (Gram) matrix, M = L diag(h) U: the rows of L^-1 are the monic
+P_n, the columns of U^-1 the monic Q_n, h_n = <P_n, Q_n> and Z_n = h_0 ...
+h_{n-1} (Bertola-Gekhtman-Szmigielski, "Cauchy biorthogonal polynomials",
+J. Approx. Theory 2010).  The bordered-determinant representation is kept as
+a test identity, not the algorithm.  Associated functions of the first type
+are built by the moment recursion on Cauchy-transform integrals; the base
+case is the Stieltjes transform expressed through Gamma2.
 
 All triple-valued data is exposed both in natural index order (n-1, n, n+1)
 on the state and as 3-vectors ordered [n+1, n, n-1] to match the transfer
@@ -129,11 +132,9 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     GA, GB = [w(gamma(a + 1.0))], [w(gamma(b + 1.0))]
     if hi_fidelity and not iscomplex:
         # the weight values carry the same ~1e6 deep-truncation amplification
-        # as the boxed seeds, so they too are built in DD
-        wsp = [dd.dd_pow(dd.DD(s), a + 1.0) * dd.dd_exp(dd.DD(-s))
-               if not xi_off else zero]
-        wtp = [dd.dd_pow(dd.DD(t), b + 1.0) * dd.dd_exp(dd.DD(-t))
-               if not psi_off else zero]
+        # as the boxed seeds, so they too are built in DD (c^(a+1) as c c^a)
+        wsp = [s_dd * dd.dd_pow(s_dd, a) * dd.dd_exp(-s_dd) if not xi_off else zero]
+        wtp = [t_dd * dd.dd_pow(t_dd, b) * dd.dd_exp(-t_dd) if not psi_off else zero]
     else:
         wsp = [w(0.0 if xi_off else s ** (a + 1.0) * math.exp(-s))]
         wtp = [w(0.0 if psi_off else t ** (b + 1.0) * math.exp(-t))]
@@ -183,14 +184,15 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
                 # to ~1e6, past the float64 evaluation floor
                 cst = gamma2_boxed_dd(a, s, t)[0]
                 seed_lo = lambda: gamma2_boxed_dd(b, t, s)[0]
-                seed_hi = lambda: gamma2_boxed_dd(b + K - 1.0, t, s)[0]
+                seed_hi = lambda: gamma2_boxed_dd(b, t, s, K - 1)[0]
             else:
                 cst = w(gamma2_boxed(a, s, t).value)
                 seed_lo = lambda: w(gamma2_boxed(b, t, s).value)
                 seed_hi = lambda: w(gamma2_boxed(b + K - 1, t, s).value)
-            # boxed shift chain lam2(B+1) = gamma_lower(B+1,t) - s lam2(B),
-            # run in whichever direction contracts for this s
-            if s <= 1.0:
+            # boxed shift chain lam2(B+1) = gamma_lower(B+1,t) - s lam2(B):
+            # lam2(B) scales like t^B, so the relative error grows by s/t
+            # per upward step and by t/s per downward step
+            if s <= t:
                 lam2 = [seed_lo()]
                 for k in range(K - 1):
                     lam2.append(LGB[k] - s_dd * lam2[-1])
@@ -223,50 +225,43 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
 
 
 @lru_cache(maxsize=4096)
+def _ldu(p: ModelParams, d: DeformPoint, size: int):
+    """Unpivoted DD factorization M = L diag(h) U of _dd_gram(p, d, size):
+    the rows of L^-1 are the monic P_n, the columns of U^-1 the monic Q_n,
+    and h_n = <P_n, Q_n>, so that Z_n = h_0 ... h_{n-1}."""
+    return plinalg.dd_ldu(_dd_gram(p, d, size)[0])
+
+
+@lru_cache(maxsize=4096)
 def _system(p: ModelParams, d: DeformPoint, nmax: int):
-    """Gram data and normalized polynomial coefficients for degrees <= nmax.
+    """Normalized bi-orthogonal data for degrees <= nmax.
 
-    The whole construction runs in compensated (double-double) arithmetic:
-    the monomial Gram matrix is superexponentially ill-conditioned, and the
-    1e-9 contracts on the spectral data at n ~ 5 are unreachable in bare
-    binary64.  Inputs and outputs stay float64.
+    The monic coefficients and the norms h_n are read off one factorization
+    of the compensated Gram (see _ldu), taken in double-double: the monomial
+    Gram matrix is superexponentially ill-conditioned, and the 1e-9
+    contracts on the spectral data at n ~ 5 are unreachable in bare binary64.
+    Inputs and outputs stay float64.
 
-    Returns (M, Z[0..nmax+1], S[0..nmax], Pcoeffs, Qcoeffs, pi, eta, X) with
+    Returns (S[0..nmax], Pcoeffs, Qcoeffs, pi, eta, X, Pdd, Qdd) with
     coefficient arrays low-to-high, already normalized by 1/sqrt(h).
     """
     Mdd, aldd, bedd, iscomplex = _dd_gram(p, d, nmax + 2)
-    M = np.array([[dd.unwrap(Mdd[j][k]) for k in range(nmax + 2)] for j in range(nmax + 2)])
-    Z = [1.0]
+    h, monics, monicqs, zero = _ldu(p, d, nmax + 2)
     S, Pc, Qc, pis, etas, xs = [], [], [], [], [], []
     Pdd, Qdd = [], []
     for nn in range(nmax + 1):
-        if nn == 0:
-            monic = [dd.wrap(1.0, iscomplex)]
-        else:
-            sub = [row[:nn] for row in Mdd[:nn]]
-            subT = [[sub[i][j] for i in range(nn)] for j in range(nn)]
-            rhs = [-Mdd[nn][k] for k in range(nn)]
-            monic = plinalg.dd_lu_solve(subT, rhs) + [dd.wrap(1.0, iscomplex)]
-        if nn == 0:
-            monicq = [dd.wrap(1.0, iscomplex)]
-        else:
-            sub = [row[:nn] for row in Mdd[:nn]]
-            rhs = [-Mdd[j][nn] for j in range(nn)]
-            monicq = plinalg.dd_lu_solve(sub, rhs) + [dd.wrap(1.0, iscomplex)]
-        h = _dd_bilinear(monic, Mdd, monicq)
-        hf = dd.unwrap(h)
-        Z.append(Z[-1] * hf)
+        hf = dd.unwrap(h[nn]) if nn != zero else 0.0
         if abs(hf) <= 1e-250 or not np.isfinite(abs(hf)):
             raise GenericityError("vanishing norm / moment determinant", index=nn)
         if not iscomplex:
             if hf <= 0:
                 raise GenericityError("non-positive squared norm h_n", index=nn)
-            sval = dd.DD(1.0) / h.sqrt()
+            sval = dd.DD(1.0) / h[nn].sqrt()
         else:
-            sval = dd.wrap(1.0, True) / _cdd_sqrt(h)
+            sval = dd.wrap(1.0, True) / _cdd_sqrt(h[nn])
         S.append(dd.unwrap(sval))
-        pcd = [sval * c for c in monic]
-        qcd = [sval * c for c in monicq]
+        pcd = [sval * c for c in monics[nn]]
+        qcd = [sval * c for c in monicqs[nn]]
         Pc.append(np.array([dd.unwrap(c) for c in pcd]))
         Qc.append(np.array([dd.unwrap(c) for c in qcd]))
         pis.append(dd.unwrap(_dd_dot(pcd, aldd[:nn + 1])))
@@ -281,7 +276,7 @@ def _system(p: ModelParams, d: DeformPoint, nmax: int):
             raise GenericityError("vanishing auxiliary coefficient eta", index=nn)
         Pdd.append(pcd)
         Qdd.append(qcd)
-    return M, Z, S, Pc, Qc, pis, etas, xs, Pdd, Qdd
+    return S, Pc, Qc, pis, etas, xs, Pdd, Qdd
 
 
 def _cdd_sqrt(h):
@@ -293,12 +288,15 @@ def _cdd_sqrt(h):
 
 
 def zdet(p: ModelParams, d: DeformPoint, k: int) -> float:
-    """Deformed partition determinant Z_k (Z_0 = 1): the DD determinant of
-    the same compensated Gram the determinant route uses."""
+    """Deformed partition determinant Z_k = h_0 ... h_{k-1} (Z_0 = 1).
+
+    The pivots come from the factorization that build_state(p, d, k) reads,
+    so the flow seed's log Z and its norms S_n = h_n^{-1/2} share one Gram.
+    """
     if k == 0:
         return 1.0
-    det = plinalg.dd_lu_det(_dd_gram(p, d, k)[0])
-    return det if isinstance(det, float) else dd.unwrap(det)
+    h = _ldu(p, d, k + 3)[0]  # cut at a zero pivot
+    return dd.unwrap(math.prod(h[1:k], start=h[0])) if len(h) >= k else 0.0
 
 
 def inner_product(p: ModelParams, d: DeformPoint, pc: np.ndarray, qc: np.ndarray,
@@ -329,7 +327,7 @@ def build_state(p: ModelParams, d: DeformPoint, n: int) -> BopsState:
     """Construct the bi-orthogonal bundle {S, pi, eta, X, Y, polys} at index n."""
     if n < 0:
         raise DomainError("index n must be >= 0")
-    M, Z, S, Pc, Qc, pis, etas, xs, _, _ = _system(p, d, n + 1)
+    S, Pc, Qc, pis, etas, xs, _, _ = _system(p, d, n + 1)
     xnn = xs[n]
     ynn = pis[n] * etas[n] - xnn
     s_tr = (0.0 if n == 0 else S[n - 1], S[n], S[n + 1])
@@ -346,7 +344,7 @@ def build_state(p: ModelParams, d: DeformPoint, n: int) -> BopsState:
 
 def poly_coeffs(p: ModelParams, d: DeformPoint, n: int, species: str = "x") -> np.ndarray:
     """Normalized coefficients of P_n (species 'x') or Q_n (species 'y')."""
-    _, _, _, Pc, Qc, _, _, _, _, _ = _system(p, d, max(n, 1))
+    _, Pc, Qc, _, _, _, _, _ = _system(p, d, max(n, 1))
     return np.array(Pc[n] if species == "x" else Qc[n])
 
 
@@ -354,7 +352,7 @@ def recurrence_coeffs(state: BopsState):
     """Third-order recurrence coefficients (r_{n,2}, r_{n,1}, r_{n,0}, r_{n,-1})
     and the mirror quadruple (s_{n,2}, s_{n,1}, s_{n,0}, s_{n,-1})."""
     p, d, n = state.params, state.point, state.n
-    _, Z, S, Pc, Qc, pis, etas, xs, _, _ = _system(p, d, n + 2)
+    S, _, _, pis, etas, xs, _, _ = _system(p, d, n + 2)
     x_next = xs[n + 1]
     y_next = pis[n + 1] * etas[n + 1] - x_next
     r2 = S[n + 1] / (S[n + 2] * pis[n + 1])
@@ -530,7 +528,7 @@ def eval_bundle(state: BopsState) -> EvalBundle:
     """
     p, d, n = state.params, state.point, state.n
     s, t = d.s, d.t
-    _, _, _, _, _, _, _, _, Pdd, Qdd = _system(p, d, n + 1)
+    *_, Pdd, Qdd = _system(p, d, n + 1)
     _, aldd, bedd, iscomplex = _dd_gram(p, d, n + 3)
     pdd = [Pdd[n + 1], Pdd[n], Pdd[n - 1] if n else None]
     qdd = [Qdd[n + 1], Qdd[n], Qdd[n - 1] if n else None]
@@ -604,4 +602,5 @@ def undeformed_reference(n: int, a: float, b: float) -> dict:
 
 def clear_caches() -> None:
     _system.cache_clear()
+    _ldu.cache_clear()
     _dd_gram.cache_clear()

@@ -124,29 +124,29 @@ def cmd_gap(cfg) -> int:
 
     def one(point):
         s, t = point
-        d = DeformPoint(s, t)
         rec = _record_base(cfg, s, t)
-        rec["std_error"] = 0.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if route == "determinant":
-                r = ensembles.z_cl2m(p, d)
-            elif route == "pfaffian":
-                r = ensembles.z_ubh(p, s)
-            elif route == "laplace":
+            if route == "laplace":  # the fixed-trace route has no s cutoff
                 r = ensembles.z_bhft(p, t)
-            elif route == "flow":
-                r = ensembles.z_cl2m_flow(p, d)
             else:
-                est = (oracles.quad_gap_small_m(p, d) if p.m <= 2 else
-                       oracles.mc_gap(p, d, cfg["n_samples"], cfg["seed"]))
-                rec["Z"] = est.value
-                rec["est_error"] = est.std_error
-                rec["std_error"] = est.std_error
-                return rec, False
+                d = DeformPoint(s, t)
+                if route == "determinant":
+                    r = ensembles.z_cl2m(p, d)
+                elif route == "pfaffian":
+                    r = ensembles.z_ubh(p, s)
+                elif route == "flow":
+                    r = ensembles.z_cl2m_flow(p, d)
+                else:
+                    r = (oracles.quad_gap_small_m(p, d) if p.m <= 2 else
+                         oracles.mc_gap(p, d, cfg["n_samples"], cfg["seed"]))
             warned = any(issubclass(w.category, PrecisionWarning) for w in caught)
         rec["Z"] = r.value
-        rec["est_error"] = r.est_error
+        if route == "oracle":
+            rec["est_error"] = rec["std_error"] = r.std_error
+        else:
+            rec["est_error"] = r.est_error
+            rec["std_error"] = 0.0
         return rec, warned
 
     results = [one(point) for point in _grid(cfg)]
@@ -157,21 +157,8 @@ def cmd_gap(cfg) -> int:
 
 
 def cmd_bhft(cfg) -> int:
-    cfg = dict(cfg, route="laplace")
-    p = _params(cfg)
-
-    def one(t):
-        rec = _record_base(cfg, math.nan, t)
-        rec["s"] = ""
-        r = ensembles.z_bhft(p, t)
-        rec["Z"] = r.value
-        rec["est_error"] = r.est_error
-        rec["std_error"] = 0.0
-        return rec
-
-    records = [one(t) for t in cfg["t"]]
-    _write_records(records, _GAP_COLUMNS, cfg["out"], cfg["fmt"])
-    return 0
+    # one row per t, with an empty s column
+    return cmd_gap(dict(cfg, route="laplace", s=[""]))
 
 
 def cmd_bops(cfg) -> int:
@@ -270,14 +257,14 @@ def verify_residuals(p: ModelParams, d: DeformPoint, nmax: int = 3,
             fs = flowmod.FlowState(eb, fs.logZ)
         r = max(r, float(np.abs(flowmod.constraint_residuals(fs, p)).max()))
     out["constraints"] = r
-    r = 0.0
+    r_inv = r_pair = 0.0
     for n in range(1, nmax + 1):
-        lb = build_lax(build_state(p, d, n))
-        r = max(r, max(abs(v) for v in residue_invariants(lb, p.a, p.b).values()))
-        r = max(r, max(abs(v) for v in
-                       pairwise_trace_residuals(build_state(p, d, n), lb).values()))
-    out["lax_invariants"] = r
-    out["pairwise_traces"] = out["lax_invariants"]
+        st = build_state(p, d, n)
+        lb = build_lax(st)
+        r_inv = max(r_inv, max(abs(v) for v in residue_invariants(lb, p.a, p.b).values()))
+        r_pair = max(r_pair, max(abs(v) for v in pairwise_trace_residuals(st, lb).values()))
+    out["lax_invariants"] = r_inv
+    out["pairwise_traces"] = r_pair
     out["schlesinger"] = max(schlesinger_residuals(p, d, min(2, nmax)).values())
     out["fk_bridge"] = ensembles.fk_bridge_residual(
         min(p.m, 4), p.a, p.xi if p.xi else 1.0, d.s)

@@ -1,5 +1,5 @@
 """Compensated double-double arithmetic, the working precision of the Gram
-assembly and of the moment routes' determinants, solves and Pfaffians.
+assembly and of the moment routes' determinants, factorizations and Pfaffians.
 
 A DD holds an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, giving ~31
 significant digits.  CDD is the complex pair.  Only the operations those
@@ -175,8 +175,8 @@ def dd_ln(x: DD) -> DD:
     return DD(y0) + corr
 
 
-def dd_pow(x: DD, p: float) -> DD:
-    """x^p for positive DD base and float exponent."""
+def dd_pow(x: DD, p: float | DD) -> DD:
+    """x^p for positive DD base and float or DD exponent."""
     if float(x) == 0.0:
         return DD(0.0)
-    return dd_exp(dd_ln(x) * DD(p))
+    return dd_exp(dd_ln(x) * (p if isinstance(p, DD) else DD(p)))

@@ -1,12 +1,12 @@
 """Public gap-probability routes: determinant (two-matrix model), Pfaffian
 (one-species ensemble), deformation flow, and fixed-trace Laplace inversion.
 
-The Pfaffian sign is fixed by continuity from the undeformed limit, never by
-a printed sign convention.  The fixed-trace inversion runs fixed-Talbot per
-generating-variable coefficient: the transform is entire with exponential
-type k*t in the k-th coefficient, so each coefficient is inverted at the
-shifted time 1 - k*t where its Bromwich integrand decays (coefficients with
-k*t >= 1 contribute exactly zero at unit trace).  All contour evaluations
+The Pfaffian sign is that of the undeformed limit, (-1)^(m(m-1)/2) in closed
+form, never a printed sign convention.  The fixed-trace inversion runs
+fixed-Talbot per generating-variable coefficient: the transform is entire
+with exponential type k*t in the k-th coefficient, so each coefficient is
+inverted at the shifted time 1 - k*t where its Bromwich integrand decays
+(coefficients with k*t >= 1 contribute exactly zero at unit trace).  All contour evaluations
 use exponentially rescaled matrix elements, so no large exponentials appear.
 """
 from __future__ import annotations
@@ -77,6 +77,9 @@ def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
     and the determinant is taken in the same arithmetic: the gap value is a
     massive cancellation of complete-gamma atoms once the cutoffs cut deep,
     and a bare float64 determinant of rounded entries loses all digits there.
+    The determinant is the pivoted one: the unpivoted factorization the
+    bi-orthogonal data read is stable only where the Gram is totally
+    positive, which fails for complex xi or psi.
     """
     from .bops import _dd_gram
 
@@ -129,13 +132,14 @@ def _ubh_pf_dd(p: ModelParams, s: float, hi_fidelity: bool = False):
     return pf if isinstance(pf, float) else dd.unwrap(pf)
 
 
-def _pf_sign(p: ModelParams, s: float) -> float:
-    """Overall Pfaffian sign fixed so the generating function -> 1 as xi -> 0."""
-    p0 = ModelParams(p.m, p.a, p.b, 0.0, 0.0)
-    raw = _ubh_pf_dd(p0, s)
-    if raw == 0:
-        raise DomainError("undeformed Pfaffian vanished; cannot fix the sign")
-    return 1.0 if complex(raw).real > 0 else -1.0
+def _pf_sign(m: int) -> float:
+    """Overall Pfaffian sign, fixed so the generating function -> 1 as xi -> 0.
+
+    The undeformed element matrix is the Gamma-scaled (j-k)/(2a+2+j+k), with
+    a positive border for odd m; by Schur's Pfaffian identity its Pfaffian
+    has sign (-1)^(m(m-1)/2) for every a.
+    """
+    return -1.0 if (m * (m - 1) // 2) % 2 else 1.0
 
 
 def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
@@ -143,7 +147,7 @@ def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
     ss = s if s is not None else 1.0
     _, c_ubh, _ = normalizations(p)
     pref = math.exp(log_gamma(p.m + 1.0)) / c_ubh
-    sgn = _pf_sign(p, ss)
+    sgn = _pf_sign(p.m)
     val = pref * _ubh_pf_dd(p, ss) / sgn
     if abs(val) < 1e-2 and not isinstance(p.xi, complex):
         val = pref * _ubh_pf_dd(p, ss, hi_fidelity=True) / sgn
@@ -231,9 +235,7 @@ def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32,
     _, c_ubh, c_bhft = normalizations(p)
     scale = c_ubh / (math.exp(log_gamma(m + 1.0)) * c_bhft)
     pref = math.exp(log_gamma(m + 1.0)) / c_ubh
-    # sign from the undeformed coefficient (z-independent)
-    p0 = _xi_coefficients(m, a, complex(5.0, 0.0))[0].real
-    sgn = 1.0 if pref * p0 > 0 else -1.0
+    sgn = _pf_sign(m)
 
     def coeff_transform(schain: complex, k: int) -> complex:
         z = schain * tt

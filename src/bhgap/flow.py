@@ -70,7 +70,8 @@ VAR_NAMES = (["P_np1_s", "P_n_s", "P_nm1_s",
 
 
 def from_moments(p: ModelParams, d: DeformPoint, n: int) -> FlowState:
-    """Initial state from the moment route, with log Z_n from the determinant."""
+    """Initial state from the moment route; log Z_n = log(h_0 ... h_{n-1})
+    comes from the factorization that gives the state's norms."""
     st = build_state(p, d, n)
     lz = math.log(zdet(p, d, n)) if n else 0.0
     return FlowState(eval_bundle(st), lz)

@@ -26,14 +26,6 @@ class GenericityError(RuntimeError):
         self.index = index
 
 
-class SingularMatrixError(RuntimeError):
-    """Linear solve hit a numerically singular matrix; carries cond estimate."""
-
-    def __init__(self, message: str, cond: float = INF):
-        super().__init__(f"{message} (estimated condition number {cond:.3e})")
-        self.cond = cond
-
-
 class PrecisionWarning(UserWarning):
     """Estimated error of a result exceeds its contract tolerance."""
 

@@ -1,16 +1,17 @@
-"""Determinants, Pfaffians, and linear solves.
+"""Determinants, triangular factorizations and Pfaffians.
 
-The moment routes take their pivoted-LU determinant, LU solve and
-Parlett-Reid Pfaffian over compensated double-double (DD/CDD) scalars.  The
-float64 Pfaffian serves the Laplace-contour evaluations.  Both Pfaffians are
-skew tridiagonalizations with partial pivoting and exact sign tracking
-through the permutation parity.
+The moment routes take their pivoted-LU determinant, unpivoted LDU
+factorization and Parlett-Reid Pfaffian over compensated double-double
+(DD/CDD) scalars.  The float64 Pfaffian serves the Laplace-contour
+evaluations.  Both Pfaffians are skew tridiagonalizations with partial
+pivoting and exact sign tracking through the permutation parity.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .params import DomainError, SingularMatrixError
+from . import dd
+from .params import DomainError
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -45,29 +46,37 @@ def dd_lu_det(A):
     return det if sign > 0 else -det
 
 
-def dd_lu_solve(A, b):
-    """Pivoted LU solve over DD/CDD scalars; returns a list of DD/CDD."""
+def dd_ldu(A):
+    """Unpivoted LDU factorization A = L diag(h) U over DD/CDD scalars, stable
+    on totally positive matrices (de Boor & Pinkus, Numer. Math. 1977).
+
+    Returns (h, linv, uinv, zero): the pivots, the rows of L^-1 and the
+    columns of U^-1 cut at the diagonal, and the index of the first zero
+    pivot (None if none).  Elimination stops there, so the result is then
+    the factorization of the leading zero x zero block.
+    """
     n = len(A)
     A = [row[:] for row in A]
-    x = b[:]
+    cx = n > 0 and isinstance(A[0][0], dd.CDD)
+    linv = [[dd.wrap(float(c == i), cx) for c in range(i + 1)] for i in range(n)]
+    uinv = [row[:] for row in linv]
+    h = []
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(A[i][k]))
-        if abs(A[p][k]) == 0.0:
-            raise SingularMatrixError("singular matrix in DD solve")
-        if p != k:
-            A[p], A[k] = A[k], A[p]
-            x[p], x[k] = x[k], x[p]
+        piv = A[k][k]
+        if abs(piv) == 0.0:
+            return h, linv[:k], uinv[:k], k
+        h.append(piv)
         for i in range(k + 1, n):
-            f = A[i][k] / A[k][k]
-            x[i] = x[i] - f * x[k]
-            for j in range(k, n):
+            f = A[i][k] / piv
+            for j in range(k + 1, n):
                 A[i][j] = A[i][j] - f * A[k][j]
-    for k in range(n - 1, -1, -1):
-        acc = x[k]
+            for c in range(k + 1):
+                linv[i][c] = linv[i][c] - f * linv[k][c]
         for j in range(k + 1, n):
-            acc = acc - A[k][j] * x[j]
-        x[k] = acc / A[k][k]
-    return x
+            f = A[k][j] / piv
+            for c in range(k + 1):
+                uinv[j][c] = uinv[j][c] - f * uinv[k][c]
+    return h, linv, uinv, None
 
 
 def dd_pfaffian(A):

@@ -366,26 +366,40 @@ def gamma2(a: float, x: float, y: complex) -> SpecFunResult:
     return _gamma2_cached(float(a), float(x), complex(y))
 
 
-_GL64 = None
-_GL32 = None
-
-
+@functools.lru_cache(maxsize=1)
 def _gl64():
-    global _GL64
-    if _GL64 is None:
-        import numpy as _np
+    import numpy as _np
 
-        _GL64 = _np.polynomial.legendre.leggauss(64)
-    return _GL64
+    return _np.polynomial.legendre.leggauss(64)
 
 
-def _gl32():
-    global _GL32
-    if _GL32 is None:
-        import numpy as _np
+@functools.lru_cache(maxsize=1)
+def _gl32_dd():
+    """32-point Gauss-Legendre rule in double-double: numpy's float64 nodes,
+    which cap every integral at ~1e-16, each take two Newton steps on P_32,
+    and the weights are 2 (1 - x^2) / (32 P_31(x))^2."""
+    import numpy as _np
 
-        _GL32 = _np.polynomial.legendre.leggauss(32)
-    return _GL32
+    from . import dd as _dd
+
+    one, n = _dd.DD(1.0), _dd.DD(32.0)
+
+    def legendre(x):  # (P_31(x), P_32(x)) by the three-term recurrence
+        p0, p1 = one, x
+        for k in range(2, 33):
+            p0, p1 = p1, (_dd.DD(2.0 * k - 1.0) * x * p1 - _dd.DD(k - 1.0) * p0) / _dd.DD(k)
+        return p0, p1
+
+    nodes, weights = [], []
+    for x in _np.polynomial.legendre.leggauss(32)[0]:
+        x = _dd.DD(float(x))
+        for _ in range(2):  # P_32' = 32 (x P_32 - P_31) / (x^2 - 1)
+            p31, p32 = legendre(x)
+            x = x - p32 * (x * x - one) / (n * (x * p32 - p31))
+        q = n * legendre(x)[0]
+        nodes.append(x)
+        weights.append(_dd.DD(2.0) * (one - x * x) / (q * q))
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=100000)
@@ -465,20 +479,20 @@ def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
 
 
 @functools.lru_cache(maxsize=20000)
-def gamma2_boxed_dd(a: float, x: float, y: float):
-    """The boxed integral evaluated entirely in double-double.
+def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
+    """int_0^x u^(a+shift) e^-u / (u+y) du evaluated entirely in double-double.
 
     Deep-truncation determinants amplify this one seed by ~1e6, so the
     float64 evaluation floor (~3e-16) is not good enough for 1e-9 contracts;
-    the DD Gauss-Legendre rule brings the seed to ~1e-25.
+    the shift is summed in DD, as the float64 a + shift is itself rounded.
     """
     from . import dd as _dd
 
-    if not (x > 0.0 and y > 0.0 and a > -1.0):
-        raise DomainError(f"gamma2_boxed_dd domain: a={a}, x={x}, y={y}")
-    nodes, weights = _gl32()
-    q = 1.0 / (1.0 + a)
+    if not (x > 0.0 and y > 0.0 and a + shift > -1.0):
+        raise DomainError(f"gamma2_boxed_dd domain: a={a}, shift={shift}, x={x}, y={y}")
+    nodes, weights = _gl32_dd()
     ydd = _dd.DD(y)
+    ea = _dd.DD(a) + _dd.DD(float(shift))
 
     half = _dd.DD(0.5)
 
@@ -486,31 +500,32 @@ def gamma2_boxed_dd(a: float, x: float, y: float):
         h = (hi - lo) * half
         mid = (hi + lo) * half
         for xx, ww in zip(nodes, weights):
-            u = mid + h * _dd.DD(xx)
-            out.append(h * _dd.DD(ww) * _dd.dd_pow(u, a) * _dd.dd_exp(-u) / (u + ydd))
+            u = mid + h * xx
+            out.append(h * ww * _dd.dd_pow(u, ea) * _dd.dd_exp(-u) / (u + ydd))
 
     # first panel [0, c] by the series int_0^c u^a e^-u/(u+y) du =
     # c^(a+1) sum_n (-1)^n u_n (c/y)^n / (y (a+n+1)), u_n = sum_{k<=n} y^k/k!,
     # which is exact DD arithmetic (the quadrature route is blocked by the
-    # fractional-power derivative singularity at the origin)
+    # fractional-power derivative singularity at the origin); a is ea here
     c = min(x / 64.0, y / 2.0)
     cdd = _dd.DD(c)
     rho = cdd / ydd
     un = _dd.DD(1.0)
     ypow = _dd.DD(1.0)
     rpow = _dd.DD(1.0)
-    acc0 = un / _dd.DD(a + 1.0)
+    a1 = ea + _dd.DD(1.0)
+    acc0 = un / a1
     n = 0
     while n < 400:
         n += 1
         ypow = ypow * ydd / _dd.DD(float(n))
         un = un + ypow
         rpow = rpow * rho
-        term = un * rpow / _dd.DD(a + n + 1.0)
+        term = un * rpow / (a1 + _dd.DD(float(n)))
         acc0 = acc0 + term if n % 2 == 0 else acc0 - term
         if abs(float(term)) <= 1e-34 * abs(float(acc0)):
             break
-    first = _dd.dd_pow(cdd, a + 1.0) * acc0 / ydd
+    first = cdd * _dd.dd_pow(cdd, ea) * acc0 / ydd
 
     u_edges = [c]
     grow = c

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bhgap import bops, dd, plinalg
 from bhgap.bimoments import alpha_moment, bimoment
 from bhgap.bops import (
     assoc1,
@@ -245,6 +246,52 @@ def test_undeformed_a_b_halfint_state():
 def test_zdet_positive_region():
     assert zdet(P, D, 0) == 1.0
     assert zdet(P, D, 3) > 0
+
+
+def gram_block_det(p, d, m, size):
+    """Pivoted DD determinant of the leading m x m block of _dd_gram(p, d, size)."""
+    M = bops._dd_gram(p, d, size)[0]
+    return dd.unwrap(plinalg.dd_lu_det([row[:m] for row in M[:m]]))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_zdet_is_pivot_product_of_gram(k):
+    want = gram_block_det(P, D, k, k)
+    assert abs(zdet(P, D, k) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("m,s,t", [(6, 1.1, 2.2), (8, 1.1, 3.4)])
+def test_gram_block_independent_of_size(m, s, t):
+    # at s <= t the boxed shift chain runs upward from its low-order seed, so
+    # the leading block cannot depend on how many chain steps follow it
+    p = ModelParams(m, 0.3, 0.7, 1.0, 0.6)
+    d = DeformPoint(s, t)
+    want = gram_block_det(p, d, m, m)
+    assert abs(gram_block_det(p, d, m, m + 8) - want) <= 1e-12 * abs(want)
+
+
+def test_gram_swap_twin_off_diagonal():
+    # the species exchange runs the boxed shift chain the other way, from the
+    # other seed; the lo-fi Gram determinant is z_cl2m's first pass
+    p = ModelParams(6, 0.3, 0.7, 1.0, 0.6)
+    d = DeformPoint(1.1, 3.4)
+    z = gram_block_det(p, d, 6, 6)
+    twin = gram_block_det(p.swapped(), d.swapped(), 6, 6)
+    assert abs(z - twin) <= 1e-6 * abs(z)
+    assert build_state(p, d, 5).S_triple[2] > 0
+
+
+@pytest.mark.parametrize("m,a,b,s,t", [(6, 0.073, 0.872, 1.020, 2.177),
+                                       (8, 0.135, 0.534, 1.003, 0.938)])
+def test_hifi_gram_swap_twin(m, a, b, s, t):
+    # z_cl2m's deep pass: the rank-1 row fill amplifies row-0 errors by ~1e8
+    # in the s < t order, and the near-diagonal downward shift chain keeps
+    # its top seed's error, so both orders agree only with DD-accurate boxed
+    # seeds and weight powers
+    p, d = ModelParams(m, a, b, 1.0, 1.0), DeformPoint(s, t)
+    z = dd.unwrap(plinalg.dd_lu_det(bops._dd_gram(p, d, m, True)[0]))
+    twin = dd.unwrap(plinalg.dd_lu_det(bops._dd_gram(p.swapped(), d.swapped(), m, True)[0]))
+    assert abs(z - twin) <= 1e-12 * abs(z)
 
 
 def test_eval_bundle_contents():

@@ -1,9 +1,12 @@
 import csv
 import json
+import warnings
 
 import pytest
 
+from bhgap import cli, ensembles, oracles
 from bhgap.cli import main
+from bhgap.params import PrecisionWarning
 
 
 def read_csv(path):
@@ -41,6 +44,37 @@ def test_gap_precision_degraded_exit_code(tmp_path):
     assert main(argv + ["--s", "0.5", "--s", "5"]) == 2
     assert [float(r["s"]) for r in read_csv(out)] == [0.5, 5.0]
     assert main(argv + ["--s", "5"]) == 0
+
+
+def warning_twin(fn):
+    """fn, but raising a PrecisionWarning before it returns."""
+    def warned(*args, **kwargs):
+        warnings.warn("degraded", PrecisionWarning)
+        return fn(*args, **kwargs)
+    return warned
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["gap", "--route", "oracle"]])
+def test_oracle_precision_degraded_exit_code(tmp_path, monkeypatch, command):
+    out = tmp_path / "o.csv"
+    # m = 3 runs oracles.mc_gap
+    argv = command + ["--m", "3", "--a", "0", "--b", "1", "--s", "1.5", "--t", "1.5",
+                      "--out", str(out)]
+    assert main(argv) == 0
+    monkeypatch.setattr(oracles, "mc_gap", warning_twin(oracles.mc_gap))
+    assert main(argv) == 2
+    assert float(read_csv(out)[0]["std_error"]) > 0
+
+
+def test_bhft_precision_degraded_exit_code(tmp_path, monkeypatch):
+    out = tmp_path / "bhft.csv"
+    argv = ["bhft", "--m", "1", "--a", "0.5", "--xi", "0.6", "--t", "0.7",
+            "--out", str(out)]
+    monkeypatch.setattr(ensembles, "z_bhft", warning_twin(ensembles.z_bhft))
+    assert main(argv) == 2
+    row = read_csv(out)[0]
+    assert row["s"] == "" and row["route"] == "laplace"
+    assert abs(float(row["Z"]) - 0.4) <= 1e-6
 
 
 def test_gap_oracle_route_has_std_error(tmp_path):
@@ -154,3 +188,20 @@ def test_verify_degenerate_deformation(tmp_path):
     rc = main(["verify", "--m", "2", "--a", "0.3", "--b", "0.6", "--xi", "0",
                "--psi", "0", "--s", "1", "--t", "1", "--out", str(out)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("suite,column,other", [
+    ("residue_invariants", "lax_invariants", "pairwise_traces"),
+    ("pairwise_trace_residuals", "pairwise_traces", "lax_invariants"),
+])
+def test_verify_lax_suites_own_columns(tmp_path, monkeypatch, suite, column, other):
+    # a bad value in one Lax suite fails its own column and no other
+    monkeypatch.setattr(cli, suite, lambda *args: {"bad": 1.0})
+    out = tmp_path / "verify.csv"
+    rc = main(["verify", "--m", "2", "--a", "0", "--b", "1", "--xi", "1",
+               "--psi", "1", "--s", "1", "--t", "1", "--out", str(out)])
+    assert rc == 1
+    status = {r["identity"]: r["status"] for r in read_csv(out)}
+    assert status[column] == "FAIL"
+    assert status[other] == "pass"
+    assert sorted(k for k, v in status.items() if v == "FAIL") == [column]

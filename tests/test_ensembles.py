@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bhgap import dd
 from bhgap.ensembles import (
     Route,
+    _pf_sign,
+    _xi_coefficients,
     fk_bridge_residual,
     normalizations,
     z_bhft,
@@ -14,6 +17,7 @@ from bhgap.ensembles import (
 )
 from bhgap.oracles import quad_gap_small_m
 from bhgap.params import DeformPoint, INF, ModelParams
+from bhgap.plinalg import dd_pfaffian
 
 
 def test_normalizations_m1():
@@ -97,6 +101,26 @@ def test_printed_bridge_constant_differs_by_2_to_m():
     zc = z_cl2m(pc, DeformPoint(s, s)).value
     lhs = abs(zu * zu - 2 ** m * zc) / abs(zu * zu)
     assert abs(lhs - (2 ** m - 1)) <= 1e-6
+
+
+def undeformed_pf_matrix(m, a):
+    """Closed-form undeformed element matrix of z_ubh, Gamma(a+1+j)
+    Gamma(a+1+k) (j-k)/(2a+2+j+k), bordered by Gamma(a+1+j) for odd m."""
+    g = [math.gamma(a + 1 + j) for j in range(m)]
+    inner = [[g[j] * g[k] * (j - k) / (2 * a + 2 + j + k) for k in range(m)]
+             for j in range(m)]
+    if m % 2:
+        inner = [[0.0] + g] + [[-g[j]] + inner[j] for j in range(m)]
+    return [[dd.DD(v) for v in row] for row in inner]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_pf_sign_closed_form(m):
+    for a in (-0.7, 0.0, 0.5, 3.7):
+        pf = float(dd_pfaffian(undeformed_pf_matrix(m, a)))
+        assert pf * _pf_sign(m) > 0
+    if m <= 6:  # the fixed-trace route's undeformed coefficient
+        assert _xi_coefficients(m, 0.5, complex(5.0))[0].real * _pf_sign(m) > 0
 
 
 def test_z_ubh_monotone_in_s():

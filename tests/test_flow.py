@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bhgap import bops
 from bhgap.bops import build_state, eval_bundle, zdet
 from bhgap.ensembles import normalizations, z_cl2m
 from bhgap.flow import (
@@ -170,6 +171,18 @@ def test_start_logz_matches_determinant_route(m):
     c, _, _ = normalizations(p)
     want = math.log(z_cl2m(p, D).value * c)
     assert abs(from_moments(p, D, m).logZ - want) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_flow_seed_builds_one_gram(n):
+    # the seed's norms and its log Z are read off one factorization
+    p = ModelParams(m=n, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    bops.clear_caches()
+    fs = from_moments(p, D, n)
+    assert bops._dd_gram.cache_info().misses == 1
+    assert bops._ldu.cache_info().misses == 1
+    dlz = math.log(zdet(p, D, n + 1)) - fs.logZ  # log h_n = -2 log S_n
+    assert abs(dlz + 2 * math.log(fs.bundle.sv[1])) <= 1e-12 * max(abs(dlz), 1.0)
 
 
 def test_projection_repairs_neighbor_perturbation():

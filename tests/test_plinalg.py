@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhgap import dd
-from bhgap.params import DomainError, SingularMatrixError
-from bhgap.plinalg import dd_lu_det, dd_lu_solve, dd_pfaffian, pfaffian
+from bhgap.params import DomainError
+from bhgap.plinalg import dd_ldu, dd_lu_det, dd_pfaffian, pfaffian
 
 
 class Precision(enum.Enum):
@@ -42,8 +42,16 @@ def dd_det(a):
     return from_dd(dd_lu_det(as_dd(a)))
 
 
-def dd_solve(a, b):
-    return np.array([dd.unwrap(v) for v in dd_lu_solve(as_dd(a), as_dd(b))])
+def ldu_parts(a):
+    """(h, L^-1, U^-1, zero) of dd_ldu as numpy arrays."""
+    h, linv, uinv, zero = dd_ldu(as_dd(a))
+    n = len(h)
+    L = np.zeros((n, n), dtype=np.asarray(a).dtype)
+    U = np.zeros((n, n), dtype=L.dtype)
+    for i in range(n):
+        L[i, :i + 1] = [dd.unwrap(v) for v in linv[i]]
+        U[:i + 1, i] = [dd.unwrap(v) for v in uinv[i]]
+    return np.array([dd.unwrap(v) for v in h]), L, U, zero
 
 
 def test_det_empty_is_one():
@@ -128,46 +136,49 @@ def test_det_multiplicative(n):
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs))
 
 
-def test_solve_identity_and_scalar():
-    rhs = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(dd_solve(np.eye(3), rhs), rhs)
-    assert np.allclose(dd_solve(np.array([[4.0]]), np.array([2.0])), [0.5])
+def test_ldu_empty():
+    assert dd_ldu([]) == ([], [], [], None)
+
+
+def test_ldu_reconstructs_and_multiplies_to_det():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 6))
+    h, L, U, zero = ldu_parts(a)
+    assert zero is None
+    assert np.allclose(np.diag(L), 1.0) and np.allclose(np.diag(U), 1.0)
+    assert np.abs(L @ a @ U - np.diag(h)).max() <= 1e-12 * np.abs(a).max()
+    d = dd_det(a)
+    assert abs(np.prod(h) - d) <= 1e-12 * abs(d)
+
+
+def test_ldu_zero_pivot_reports_index():
+    # the second pivot is 4 - 2*2 = 0: the result is the leading 1x1 block's
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [1.0, 1.0, 1.0]])
+    h, L, U, zero = ldu_parts(a)
+    assert zero == 1
+    assert h.tolist() == [1.0] and L.tolist() == [[1.0]] and U.tolist() == [[1.0]]
+    assert dd_ldu(as_dd(np.array([[0.0, 1.0], [1.0, 0.0]])))[3] == 0
 
 
 def test_solve_monic_p2_vs_bordered_determinant():
-    # undeformed a=b=0 moments; monic p2 coefficients from the linear system
+    # undeformed a=b=0 moments; the monic p2 coefficients (row 2 of L^-1)
     # must match the bordered-determinant cofactor expansion
     M = np.array([[math.gamma(j + 1) * math.gamma(k + 1) / (j + k + 1)
                    for k in range(3)] for j in range(3)])
-    c = dd_solve(M[:2, :2].T, -M[2, :2])
+    _, L, _, _ = ldu_parts(M)
     z2 = np.linalg.det(M[:2, :2])
     cof = []
     for j in range(3):
         rows = [r for r in range(3) if r != j]
         cof.append((-1) ** (j + 2) * np.linalg.det(M[np.ix_(rows, [0, 1])]) / z2)
-    assert np.allclose(np.append(c, 1.0), cof, rtol=1e-12)
-
-
-def test_solve_residual_contract():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((6, 6))
-    b = rng.standard_normal(6)
-    x = dd_solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_solve_singular_raises_with_cond():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        dd_solve(a, np.array([1.0, 1.0]))
+    assert np.allclose(L[2], cof, rtol=1e-12)
 
 
 def test_complex_solve_and_det():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    x = dd_solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
+    h, L, U, _ = ldu_parts(a)
+    assert np.abs(L @ a @ U - np.diag(h)).max() <= 1e-12 * np.abs(a).max()
     d = dd_det(a)
     assert isinstance(d, complex)
     assert abs(d - np.linalg.det(a)) <= 1e-12 * abs(d)

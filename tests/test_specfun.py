@@ -9,6 +9,7 @@ from bhgap.params import DomainError, PoleError
 from bhgap.specfun import (
     gamma,
     gamma2,
+    gamma2_boxed_dd,
     gamma2_diag_scaled,
     gamma_upper,
     gamma_upper_scaled,
@@ -173,6 +174,17 @@ def test_gamma2_complex_y():
     y = complex(-0.3, 1.7)
     want = mp_gamma2(a, x, y)
     assert relerr(gamma2(a, x, y).value, want) < 1e-11
+
+
+@pytest.mark.parametrize("a,x,y,shift", [(0.073, 1.02, 2.177, 0), (0.872, 2.177, 1.02, 0),
+                                         (0.534, 0.938, 1.003, 15)])
+def test_gamma2_boxed_dd_reaches_dd_precision(a, x, y, shift):
+    # a float64 quadrature rule or a float64 sum a + shift would stop at ~1e-16
+    got, _ = gamma2_boxed_dd(a, x, y, shift)
+    with mp.workdps(40):
+        e = mp.mpf(a) + shift
+        want = mp.quad(lambda u: u ** e * mp.exp(-u) / (u + mp.mpf(y)), [0, mp.mpf(x)])
+        assert abs((mp.mpf(got.hi) + mp.mpf(got.lo)) / want - 1) <= 1e-28
 
 
 @pytest.mark.parametrize("z", [complex(4.0, 0.5), complex(-6.0, 1.0), complex(-35.0, 3.0)])
