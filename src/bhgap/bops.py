@@ -91,7 +91,11 @@ def _dd_bilinear(u, M, v):
     return acc
 
 
-@lru_cache(maxsize=4096)
+# _system, _ldu and the bilinear helpers share one Gram per (p, d, size).
+# On the benchmark workloads a flow seed reuses a Gram after at most 4 other
+# keys and a z_cl2m or z_ubh point never reuses one, so 64 Grams (~12 KB
+# each) keep every reuse while a long sweep's memory stays flat
+@lru_cache(maxsize=64)
 def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = False):
     """Structurally consistent DD Gram of the deformed weight.
 

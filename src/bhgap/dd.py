@@ -4,10 +4,20 @@ assembly and of the moment routes' determinants, factorizations and Pfaffians.
 A DD holds an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, giving ~31
 significant digits.  CDD is the complex pair.  Only the operations those
 layers need are provided.
+
+The array kernels ``vadd``, ``vmul``, ``vdiv``, ``vexp``, ``vln`` and
+``vsum`` apply the same arithmetic elementwise to pairs ``(hi, lo)`` of
+float64 numpy arrays (or floats, which broadcast), for quadratures that
+evaluate thousands of nodes at once.  They share the error-free
+transformations below with DD, follow the sloppy double-double rules of
+Hida, Li & Bailey (2001) analysed by Joldes, Muller & Popescu (ACM TOMS
+2017), and agree with the scalar ``dd_exp`` and ``dd_ln`` to ~1e-30.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 
@@ -162,7 +172,7 @@ def dd_exp(x: DD) -> DD:
         acc = acc + term
         if abs(float(term)) <= 1e-35 * abs(float(acc)):
             break
-    return acc * DD(math.ldexp(1.0, k))
+    return DD(math.ldexp(acc.hi, k), math.ldexp(acc.lo, k))
 
 
 def dd_ln(x: DD) -> DD:
@@ -180,3 +190,68 @@ def dd_pow(x: DD, p: float | DD) -> DD:
     if float(x) == 0.0:
         return DD(0.0)
     return dd_exp(dd_ln(x) * (p if isinstance(p, DD) else DD(p)))
+
+
+def vadd(x, y):
+    """Elementwise DD sum of (hi, lo) pairs, the rule of DD.__add__."""
+    s, e = _two_sum(x[0], y[0])
+    return _quick_two_sum(s, e + (x[1] + y[1]))
+
+
+def vmul(x, y):
+    """Elementwise DD product of (hi, lo) pairs, the rule of DD.__mul__."""
+    p, e = _two_prod(x[0], y[0])
+    return _quick_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def vdiv(x, y):
+    """Elementwise DD quotient of (hi, lo) pairs, the rule of DD.__truediv__."""
+    q1 = x[0] / y[0]
+    r = vadd(x, vmul(y, (-q1, 0.0)))
+    return _quick_two_sum(q1, (r[0] + r[1]) / (y[0] + y[1]))
+
+
+def vexp(x):
+    """Elementwise e^x of a (hi, lo) pair: x = k ln 2 + 512 r, e^r - 1 by
+    its Taylor series to r^10/10! (|r| <= 6.8e-4), squared back nine times
+    by E -> 2E + E^2, plus 1, times 2^k.  Like dd_exp it returns 0 below
+    -700 and raises OverflowError above 700."""
+    hi = np.asarray(x[0], dtype=float)
+    if np.any(hi > 700.0):
+        raise OverflowError("vexp overflow")
+    under = hi < -700.0
+    hi = np.where(under, 0.0, hi)
+    lo = np.where(under, 0.0, x[1])
+    k = np.rint(hi / _LN2.hi)
+    r = vadd((hi, lo), vmul((-k, 0.0), (_LN2.hi, _LN2.lo)))
+    r = (r[0] / 512.0, r[1] / 512.0)
+    em1 = term = r
+    for n in range(2, 11):
+        term = vdiv(vmul(term, r), (float(n), 0.0))
+        em1 = vadd(em1, term)
+    for _ in range(9):
+        em1 = vadd((2.0 * em1[0], 2.0 * em1[1]), vmul(em1, em1))
+    e = vadd(em1, (1.0, 0.0))
+    k = k.astype(int)
+    return np.where(under, 0.0, np.ldexp(e[0], k)), np.where(under, 0.0, np.ldexp(e[1], k))
+
+
+def vln(x):
+    """Elementwise ln x of a positive (hi, lo) pair: a float64 seed plus one
+    Newton correction, the rule of dd_ln."""
+    hi = np.asarray(x[0], dtype=float)
+    if np.any(hi <= 0.0):
+        raise ValueError("vln needs a positive argument")
+    y0 = np.log(hi + x[1])
+    corr = vadd(vmul(x, vexp((-y0, 0.0))), (-1.0, 0.0))
+    return vadd((y0, 0.0), corr)
+
+
+def vsum(x):
+    """DD sum of every element of a (hi, lo) pair, by pairwise addition."""
+    hi, lo = np.ravel(x[0]), np.ravel(x[1])
+    while hi.size > 1:
+        if hi.size % 2:
+            hi, lo = np.append(hi, 0.0), np.append(lo, 0.0)
+        hi, lo = vadd((hi[0::2], lo[0::2]), (hi[1::2], lo[1::2]))
+    return DD(hi[0], lo[0])

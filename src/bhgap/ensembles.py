@@ -149,9 +149,10 @@ def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
     pref = math.exp(log_gamma(p.m + 1.0)) / c_ubh
     sgn = _pf_sign(p.m)
     val = pref * _ubh_pf_dd(p, ss) / sgn
-    if abs(val) < 1e-2 and not isinstance(p.xi, complex):
+    deep = abs(val) < 1e-2 and not isinstance(p.xi, complex)
+    if deep:
         val = pref * _ubh_pf_dd(p, ss, hi_fidelity=True) / sgn
-    est = abs(val) * 1e-11 + 1e-14
+    est = abs(val) * (1e-11 if not deep else 1e-10)
     _warn_precision(est / max(abs(val), 1e-300), "z_ubh pfaffian")
     if isinstance(val, complex) and val.imag == 0:
         val = val.real

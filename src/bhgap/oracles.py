@@ -251,6 +251,8 @@ def mc_gap(p: ModelParams, d: DeformPoint, n_samples: int = 10 ** 6,
     Vandermondes over the Cauchy product (nonnegative on the orthant), and
     returns the ratio estimator deformed/undeformed with a jackknife standard
     error over batches.  Philox keyed on the seed makes runs reproducible.
+    A PrecisionWarning flags fewer than 100 effective samples, (sum w)^2 /
+    sum w^2 over all weights.
     """
     if p.m > 4:
         raise DomainError("Monte Carlo oracle supports m <= 4")
@@ -259,7 +261,7 @@ def mc_gap(p: ModelParams, d: DeformPoint, n_samples: int = 10 ** 6,
     per = max(n_samples // batches, 1)
     num_b = np.empty(batches)
     den_b = np.empty(batches)
-    ess = 0.0
+    w2sum = 0.0
     for bi in range(batches):
         x = rng.gamma(p.a + 1.0, size=(per, m))
         y = rng.gamma(p.b + 1.0, size=(per, m))
@@ -279,8 +281,9 @@ def mc_gap(p: ModelParams, d: DeformPoint, n_samples: int = 10 ** 6,
             fac = fac * np.prod(1.0 - p.psi * (y > d.t), axis=1)
         num_b[bi] = np.sum(w * fac).real
         den_b[bi] = np.sum(w)
-        ess += np.sum(w) ** 2 / max(np.sum(w * w), 1e-300)
+        w2sum += np.sum(w * w)
     num, den = num_b.sum(), den_b.sum()
+    ess = den ** 2 / max(w2sum, 1e-300)
     ratio = num / den
     # jackknife over batches
     jk = (num - num_b) / (den - den_b)

@@ -375,31 +375,31 @@ def _gl64():
 
 @functools.lru_cache(maxsize=1)
 def _gl32_dd():
-    """32-point Gauss-Legendre rule in double-double: numpy's float64 nodes,
-    which cap every integral at ~1e-16, each take two Newton steps on P_32,
-    and the weights are 2 (1 - x^2) / (32 P_31(x))^2."""
+    """32-point Gauss-Legendre rule in double-double, as (hi, lo) arrays:
+    numpy's float64 nodes, which cap every integral at ~1e-16, each take two
+    Newton steps on P_32, and the weights are 2 (1 - x^2) / (32 P_31(x))^2."""
     import numpy as _np
 
     from . import dd as _dd
 
-    one, n = _dd.DD(1.0), _dd.DD(32.0)
+    one, n = (1.0, 0.0), (32.0, 0.0)
 
     def legendre(x):  # (P_31(x), P_32(x)) by the three-term recurrence
         p0, p1 = one, x
         for k in range(2, 33):
-            p0, p1 = p1, (_dd.DD(2.0 * k - 1.0) * x * p1 - _dd.DD(k - 1.0) * p0) / _dd.DD(k)
+            p0, p1 = p1, _dd.vdiv(_dd.vadd(_dd.vmul(_dd.vmul((2.0 * k - 1.0, 0.0), x), p1),
+                                           _dd.vmul((1.0 - k, 0.0), p0)), (float(k), 0.0))
         return p0, p1
 
-    nodes, weights = [], []
-    for x in _np.polynomial.legendre.leggauss(32)[0]:
-        x = _dd.DD(float(x))
-        for _ in range(2):  # P_32' = 32 (x P_32 - P_31) / (x^2 - 1)
-            p31, p32 = legendre(x)
-            x = x - p32 * (x * x - one) / (n * (x * p32 - p31))
-        q = n * legendre(x)[0]
-        nodes.append(x)
-        weights.append(_dd.DD(2.0) * (one - x * x) / (q * q))
-    return nodes, weights
+    x = (_np.polynomial.legendre.leggauss(32)[0], _np.zeros(32))
+    for _ in range(2):  # P_32' = 32 (x P_32 - P_31) / (x^2 - 1)
+        p31, p32 = legendre(x)
+        step = _dd.vdiv(_dd.vmul(p32, _dd.vadd(_dd.vmul(x, x), (-1.0, 0.0))),
+                        _dd.vmul(n, _dd.vadd(_dd.vmul(x, p32), (-p31[0], -p31[1]))))
+        x = _dd.vadd(x, (-step[0], -step[1]))
+    q = _dd.vmul(n, legendre(x)[0])
+    w = _dd.vdiv(_dd.vmul((2.0, 0.0), _dd.vadd(one, _dd.vmul((-x[0], -x[1]), x))), _dd.vmul(q, q))
+    return x, w
 
 
 @functools.lru_cache(maxsize=100000)
@@ -486,6 +486,8 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
     float64 evaluation floor (~3e-16) is not good enough for 1e-9 contracts;
     the shift is summed in DD, as the float64 a + shift is itself rounded.
     """
+    import numpy as _np
+
     from . import dd as _dd
 
     if not (x > 0.0 and y > 0.0 and a + shift > -1.0):
@@ -493,15 +495,6 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
     nodes, weights = _gl32_dd()
     ydd = _dd.DD(y)
     ea = _dd.DD(a) + _dd.DD(float(shift))
-
-    half = _dd.DD(0.5)
-
-    def upanel(lo, hi, out):
-        h = (hi - lo) * half
-        mid = (hi + lo) * half
-        for xx, ww in zip(nodes, weights):
-            u = mid + h * xx
-            out.append(h * ww * _dd.dd_pow(u, ea) * _dd.dd_exp(-u) / (u + ydd))
 
     # first panel [0, c] by the series int_0^c u^a e^-u/(u+y) du =
     # c^(a+1) sum_n (-1)^n u_n (c/y)^n / (y (a+n+1)), u_n = sum_{k<=n} y^k/k!,
@@ -535,26 +528,27 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
     u_edges.extend([0.75 * x, x])
     u_edges = sorted(set(u_edges))
 
-    def grid(refine):
-        ue = [_dd.DD(e) for e in u_edges]
-        for _ in range(refine):
-            ue = sorted(ue + [(p1 + p2) * half for p1, p2 in zip(ue[:-1], ue[1:])],
-                        key=float)
-        terms = []
-        prev_edge = ue[0]
-        for hi in ue[1:]:
-            if float(hi) > float(prev_edge):
-                upanel(prev_edge, hi, terms)
-                prev_edge = hi
-        acc = terms[0]
-        for tt in terms[1:]:
-            acc = acc + tt
-        return acc + first
+    # every panel of a level is one (panels, 32) batch; the integrand is
+    # exp(ea ln u - u) / (u + y)
+    xn, wn = (nodes[0][None, :], nodes[1][None, :]), (weights[0][None, :], weights[1][None, :])
+    eav = (ea.hi, ea.lo)
 
-    prev = grid(0)
+    def level(eh, el):  # the edges' hi and lo parts
+        lo, hi = (eh[:-1, None], el[:-1, None]), (eh[1:, None], el[1:, None])
+        d, s = _dd.vadd(hi, (-lo[0], -lo[1])), _dd.vadd(hi, lo)
+        h = (0.5 * d[0], 0.5 * d[1])
+        u = _dd.vadd((0.5 * s[0], 0.5 * s[1]), _dd.vmul(h, xn))
+        f = _dd.vexp(_dd.vadd(_dd.vmul(eav, _dd.vln(u)), (-u[0], -u[1])))
+        return _dd.vsum(_dd.vdiv(_dd.vmul(_dd.vmul(h, wn), f), _dd.vadd(u, (y, 0.0)))) + first
+
+    eh, el = _np.array(u_edges), _np.zeros(len(u_edges))
+    prev = level(eh, el)
     err = math.inf
-    for lvl in (1, 2, 3):
-        cur = grid(lvl)
+    for _ in range(3):
+        mh, ml = _dd.vadd((eh[:-1], el[:-1]), (eh[1:], el[1:]))
+        at = _np.arange(1, len(eh))
+        eh, el = _np.insert(eh, at, 0.5 * mh), _np.insert(el, at, 0.5 * ml)
+        cur = level(eh, el)
         diff = prev - cur
         err = abs(diff.hi + diff.lo)
         prev = cur

@@ -18,6 +18,7 @@ from bhgap.bops import (
     undeformed_reference,
     zdet,
 )
+from bhgap.ensembles import z_cl2m
 from bhgap.params import INF, DeformPoint, DomainError, ModelParams
 
 mp.mp.dps = 25
@@ -279,6 +280,14 @@ def test_gram_swap_twin_off_diagonal():
     twin = gram_block_det(p.swapped(), d.swapped(), 6, 6)
     assert abs(z - twin) <= 1e-6 * abs(z)
     assert build_state(p, d, 5).S_triple[2] > 0
+
+
+def test_gram_cache_is_bounded():
+    # a sweep of new points must not keep every Gram it built
+    bops.clear_caches()
+    for i in range(100):
+        z_cl2m(ModelParams(2, 0.3, 0.7, 1.0, 0.6), DeformPoint(2.0 + 0.01 * i, 3.0))
+    assert bops._dd_gram.cache_info().currsize <= 64
 
 
 @pytest.mark.parametrize("m,a,b,s,t", [(6, 0.073, 0.872, 1.020, 2.177),

@@ -37,10 +37,16 @@ def test_gap_grid_product_and_roundtrip(tmp_path):
     assert repr(float(rows[0]["Z"])) == repr(z)  # 17 digits round-trip
 
 
-def test_gap_precision_degraded_exit_code(tmp_path):
-    # z_ubh at m=5, s=0.5 is ~5e-16, below its absolute error floor, and warns
+def test_gap_precision_degraded_exit_code(tmp_path, monkeypatch):
+    # one point of the sweep warns: every row is written and the run exits 2
     out = tmp_path / "gap.csv"
     argv = ["gap", "--route", "pfaffian", "--m", "5", "--a", "0.5", "--out", str(out)]
+    z_ubh = ensembles.z_ubh
+
+    def warn_below_1(p, s):
+        return (warning_twin(z_ubh) if s < 1 else z_ubh)(p, s)
+
+    monkeypatch.setattr(ensembles, "z_ubh", warn_below_1)
     assert main(argv + ["--s", "0.5", "--s", "5"]) == 2
     assert [float(r["s"]) for r in read_csv(out)] == [0.5, 5.0]
     assert main(argv + ["--s", "5"]) == 0

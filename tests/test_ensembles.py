@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bhgap.ensembles import (
     z_ubh,
 )
 from bhgap.oracles import quad_gap_small_m
-from bhgap.params import DeformPoint, INF, ModelParams
+from bhgap.params import DeformPoint, INF, ModelParams, PrecisionWarning
 from bhgap.plinalg import dd_pfaffian
 
 
@@ -89,6 +90,17 @@ def test_fk_bridge(m, aa):
     for xi in (0.3, 1.0):
         for s in (0.5, 2.0):
             assert fk_bridge_residual(m, aa, xi, s) <= 1e-9
+
+
+def test_z_ubh_tiny_value_is_not_flagged():
+    # ~5e-16 and correct: its FK-bridge partner agrees far inside est_error,
+    # so no PrecisionWarning may fire
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrecisionWarning)
+        r = z_ubh(ModelParams(5, 0.5, 0.0, 1.0, 0.0), 0.5)
+        zc = z_cl2m(ModelParams(5, 0.5, 1.5, 1.0, 1.0), DeformPoint(0.5, 0.5)).value
+    assert 0.0 < r.value < 1e-15
+    assert abs(r.value - math.sqrt(zc)) <= r.est_error <= 1e-9 * r.value
 
 
 def test_printed_bridge_constant_differs_by_2_to_m():

@@ -4,7 +4,7 @@ import pytest
 from bhgap.ensembles import z_bhft, z_cl2m
 from bhgap.oracles import OracleEstimate, mc_gap, quad_bimoment, quad_gap_small_m
 from bhgap.bimoments import bimoment
-from bhgap.params import DeformPoint, DomainError, ModelParams
+from bhgap.params import DeformPoint, DomainError, ModelParams, PrecisionWarning
 
 P = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
 D = DeformPoint(1.0, 1.0)
@@ -89,6 +89,14 @@ def test_mc_m3_vs_determinant():
     want = z_cl2m(p, d).value
     assert abs(est.value - want) <= 3.0 * est.std_error
     assert est.n_samples == 400000
+
+
+def test_mc_warns_on_small_effective_sample():
+    # 100 draws have fewer than 100 effective samples unless every weight is
+    # equal, so the pooled estimate must warn
+    p = ModelParams(m=2, a=0.5, b=0.2, xi=1.0, psi=0.6)
+    with pytest.warns(PrecisionWarning, match="effective sample size"):
+        mc_gap(p, DeformPoint(1.0, 1.4), n_samples=100, seed=11)
 
 
 def test_oracle_estimate_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhgap import dd
 from bhgap.params import DomainError, PoleError
 from bhgap.specfun import (
     gamma,
@@ -177,7 +178,9 @@ def test_gamma2_complex_y():
 
 
 @pytest.mark.parametrize("a,x,y,shift", [(0.073, 1.02, 2.177, 0), (0.872, 2.177, 1.02, 0),
-                                         (0.534, 0.938, 1.003, 15)])
+                                         (0.534, 0.938, 1.003, 15),
+                                         (0.7, 3.4, 1.1, 28),  # _dd_gram top seed, m = 8
+                                         (0.3, 20.0, 0.05, 0), (0.3, 0.05, 20.0, 0)])
 def test_gamma2_boxed_dd_reaches_dd_precision(a, x, y, shift):
     # a float64 quadrature rule or a float64 sum a + shift would stop at ~1e-16
     got, _ = gamma2_boxed_dd(a, x, y, shift)
@@ -185,6 +188,20 @@ def test_gamma2_boxed_dd_reaches_dd_precision(a, x, y, shift):
         e = mp.mpf(a) + shift
         want = mp.quad(lambda u: u ** e * mp.exp(-u) / (u + mp.mpf(y)), [0, mp.mpf(x)])
         assert abs((mp.mpf(got.hi) + mp.mpf(got.lo)) / want - 1) <= 1e-28
+
+
+def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
+    # the quadrature levels run on the array kernels: the only scalar exp
+    # and pow left are the first panel's c^a (one dd_pow, two dd_exp)
+    calls = {"dd_exp": 0, "dd_pow": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dd, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dd, name, counted)
+    gamma2_boxed_dd.cache_clear()
+    gamma2_boxed_dd(0.7, 3.4, 1.1, 28)
+    assert calls == {"dd_exp": 2, "dd_pow": 1}
 
 
 @pytest.mark.parametrize("z", [complex(4.0, 0.5), complex(-6.0, 1.0), complex(-35.0, 3.0)])
