@@ -7,7 +7,12 @@ sentinel in (s, t) short-circuits to the undeformed Laguerre formulas.
 For the Laplace-inversion path the cutoff argument z is complex with
 Re z << 0 possible; the UBH elements are then assembled from exponentially
 rescaled blocks (one factor e^-z per power of the generating variable), so
-no large exponentials ever appear in floating point.
+no large exponentials ever appear in floating point.  A contour node z needs
+three special-function values per order j (e^z Gamma(a+1+j, z),
+e^z Gamma(-a-1-j, z), e^z Gamma2(a+j; z, z)); each is computed once per
+(order, node) and shared by every block and border entry at that node.  No z
+recurs across nodes, so reuse happens only within a node, and the caches
+are bounded to hold one whole node up to m = 30 (`_NODE_M`).
 """
 from __future__ import annotations
 
@@ -109,17 +114,34 @@ def ubh_pf_border(j: int, p: ModelParams, d: DeformPoint) -> complex:
     return alpha_moment(j, p, d)
 
 
-@functools.lru_cache(maxsize=100000)
+# The Laplace-path caches hold one whole contour node up to this m; a smaller
+# bound would make a node's cyclic lookups evict each other.  Past about
+# m = 30 a node's float Pfaffian overflows anyway.
+_NODE_M = 30
+
+
+@functools.lru_cache(maxsize=3 * _NODE_M)
+def _node_value(fn, order: float, z: complex) -> complex:
+    """fn(order, z).value, computed once per (function, order, node); a node
+    at m orders needs 3m entries."""
+    return fn(order, z).value
+
+
+@functools.lru_cache(maxsize=_NODE_M * (_NODE_M - 1) // 2)
 def _ubh_blocks(j: int, k: int, a: float, z: complex):
     """Element blocks (E0, E1, E2) with M_jk = (E0 + u E1 + u^2 E2) / (2a+2+j+k),
-    u = xi e^-z.  Each block is purely algebraic in z (no large exponentials)."""
+    u = xi e^-z.  Each block is purely algebraic in z (no large exponentials).
+
+    Each special-function value is looked up in `_node_value`, one per order
+    and node.  The cache holds the m(m-1)/2 blocks of one node for
+    m <= _NODE_M, which the node's m + 1 bookkeeping values u reuse."""
     gj, gk = gamma(a + 1.0 + j), gamma(a + 1.0 + k)
-    Gj = gamma_upper_scaled(a + 1.0 + j, z).value
-    Gk = gamma_upper_scaled(a + 1.0 + k, z).value
-    Gmj = gamma_upper_scaled(-a - 1.0 - j, z).value
-    Gmk = gamma_upper_scaled(-a - 1.0 - k, z).value
-    G2j = gamma2_diag_scaled(a + float(j), z).value
-    G2k = gamma2_diag_scaled(a + float(k), z).value
+    Gj = _node_value(gamma_upper_scaled, a + 1.0 + j, z)
+    Gk = _node_value(gamma_upper_scaled, a + 1.0 + k, z)
+    Gmj = _node_value(gamma_upper_scaled, -a - 1.0 - j, z)
+    Gmk = _node_value(gamma_upper_scaled, -a - 1.0 - k, z)
+    G2j = _node_value(gamma2_diag_scaled, a + float(j), z)
+    G2k = _node_value(gamma2_diag_scaled, a + float(k), z)
     e0 = (j - k) * gj * gk
     e1 = ((j - k) * (-gj * Gk - gk * Gj)
           + 2.0 * _powc(z, 2 * a + 2 + j + k) * (gamma(a + 2.0 + j) * Gmj - gamma(a + 2.0 + k) * Gmk))
@@ -158,7 +180,7 @@ def ubh_pf_element_rescaled(j: int, k: int, a: float, z: complex, u: complex) ->
 
 
 def ubh_pf_border_rescaled(j: int, a: float, z: complex, u: complex) -> complex:
-    return gamma(a + 1.0 + j) - u * gamma_upper_scaled(a + 1.0 + j, z).value
+    return gamma(a + 1.0 + j) - u * _node_value(gamma_upper_scaled, a + 1.0 + j, z)
 
 
 def ubh_pf_matrix(p: ModelParams, d: DeformPoint) -> np.ndarray:
@@ -187,3 +209,4 @@ def clear_caches() -> None:
     _alpha_shifted.cache_clear()
     _bimoment_shifted.cache_clear()
     _ubh_blocks.cache_clear()
+    _node_value.cache_clear()

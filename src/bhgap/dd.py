@@ -152,6 +152,7 @@ def unwrap(x):
 
 
 _LN2 = DD(0.6931471805599453, 2.3190468138462996e-17)
+_SQRT_HALF = 0.7071067811865476
 
 
 def dd_exp(x: DD) -> DD:
@@ -176,13 +177,19 @@ def dd_exp(x: DD) -> DD:
 
 
 def dd_ln(x: DD) -> DD:
-    """ln x for positive DD: float seed plus one Newton correction."""
+    """ln x for positive DD: x = 2^e f with f in [1/sqrt 2, sqrt 2), a float
+    seed for ln f plus one Newton correction, plus e ln 2.  The split keeps
+    the Newton step's e^-seed finite down to the subnormals."""
     xf = float(x)
     if xf <= 0.0:
         raise ValueError("dd_ln needs a positive argument")
-    y0 = math.log(xf)
-    corr = x * dd_exp(DD(-y0)) - DD(1.0)
-    return DD(y0) + corr
+    f, e = math.frexp(x.hi)
+    if f < _SQRT_HALF:
+        f, e = 2.0 * f, e - 1
+    fx = DD(f, math.ldexp(x.lo, -e))
+    y0 = math.log(float(fx))
+    corr = fx * dd_exp(DD(-y0)) - DD(1.0)
+    return DD(y0) + corr + DD(float(e)) * _LN2
 
 
 def dd_pow(x: DD, p: float | DD) -> DD:
@@ -237,14 +244,18 @@ def vexp(x):
 
 
 def vln(x):
-    """Elementwise ln x of a positive (hi, lo) pair: a float64 seed plus one
-    Newton correction, the rule of dd_ln."""
+    """Elementwise ln x of a positive (hi, lo) pair: x = 2^e f, a float64
+    seed for ln f plus one Newton correction, plus e ln 2, the rule of dd_ln."""
     hi = np.asarray(x[0], dtype=float)
     if np.any(hi <= 0.0):
         raise ValueError("vln needs a positive argument")
-    y0 = np.log(hi + x[1])
-    corr = vadd(vmul(x, vexp((-y0, 0.0))), (-1.0, 0.0))
-    return vadd((y0, 0.0), corr)
+    f, e = np.frexp(hi)
+    low = f < _SQRT_HALF
+    f, e = np.where(low, 2.0 * f, f), np.where(low, e - 1, e)
+    fx = (f, np.ldexp(x[1], -e))
+    y0 = np.log(fx[0] + fx[1])
+    corr = vadd(vmul(fx, vexp((-y0, 0.0))), (-1.0, 0.0))
+    return vadd(vadd((y0, 0.0), corr), vmul((e.astype(float), 0.0), (_LN2.hi, _LN2.lo)))
 
 
 def vsum(x):

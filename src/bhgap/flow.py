@@ -87,6 +87,23 @@ def _ratios(eb: EvalBundle):
     return rp, rm
 
 
+def _pq_brackets(eb: EvalBundle):
+    """The brackets (bry_p, bry_p1, brx_q1, brx_q) of the X/Y ratio relations.
+
+    At an infinite cutoff that side's boundary values are zero and enter
+    only through the vanishing weight, so its two brackets are zero."""
+    rp, rm = _ratios(eb)
+    s, t = eb.s, eb.t
+    bry_p = brx_q1 = bry_p1 = brx_q = 0.0
+    if s != INF:
+        bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2]
+        brx_q1 = rp * eb.q1[0] - (eb.X - s) * eb.q1[1] - rm * eb.q1[2]
+    if t != INF:
+        bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2]
+        brx_q = rp * eb.q[0] - (eb.X + t) * eb.q[1] - rm * eb.q[2]
+    return bry_p, bry_p1, brx_q1, brx_q
+
+
 def _a0_plus(eb: EvalBundle, wT: float) -> np.ndarray:
     n, a, b, s = eb.n, eb.a, eb.b, eb.s
     rp, rm = _ratios(eb)
@@ -207,7 +224,7 @@ def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
     pe = eb.piv[1] * eb.etav[1]
     # at an infinite cutoff that side's boundary values are zero and enter
     # only through the vanishing weight: its brackets and bilinear are zero
-    fin_s, fin_t = s != INF, t != INF
+    bry_p, bry_p1, brx_q1, brx_q = _pq_brackets(eb)
     out = np.zeros(8)
 
     def norm(vals):
@@ -230,23 +247,19 @@ def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
           wT * rp * eb.p1[1] * eb.q[0], wT * rm * eb.p1[2] * eb.q[1]]
     out[3] = (eb.Y - (t4[1] - t4[2] - (t4[3] - t4[4]) - (t4[5] - t4[6]))) / norm(t4)
     # (5) X vs eta ratios
-    bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2] if fin_s else 0.0
-    bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2] if fin_t else 0.0
     t5 = [eb.X, n + a, rp * eb.etav[0] / eb.etav[1], rm * eb.etav[2] / eb.etav[1],
           wS / pe * eb.q1[1] * bry_p, wT / pe * eb.q[1] * bry_p1]
     out[4] = (eb.X - t5[1] - t5[2] + t5[3] + t5[4] + t5[5]) / norm(t5)
     # (6) Y vs pi ratios
-    brx_q1 = rp * eb.q1[0] - (eb.X - s) * eb.q1[1] - rm * eb.q1[2] if fin_s else 0.0
-    brx_q = rp * eb.q[0] - (eb.X + t) * eb.q[1] - rm * eb.q[2] if fin_t else 0.0
     t6 = [eb.Y, n + b, rp * eb.piv[0] / eb.piv[1], rm * eb.piv[2] / eb.piv[1],
           wS / pe * eb.p[1] * brx_q1, wT / pe * eb.p1[1] * brx_q]
     out[5] = (eb.Y - t6[1] - t6[2] + t6[3] + t6[4] + t6[5]) / norm(t6)
     # (7)+(8) bilinear orthogonality at anti-incidence
-    if fin_s:
+    if s != INF:
         g_s = kernels.gmatrix(eb, s, -s)
         v7 = eb.p @ g_s @ eb.q1
         out[6] = v7 / norm([abs(eb.p).max() * abs(g_s @ eb.q1).max()])
-    if fin_t:
+    if t != INF:
         g_t = kernels.gmatrix(eb, -t, t)
         v8 = eb.p1 @ g_t @ eb.q
         out[7] = v8 / norm([abs(eb.p1).max() * abs(g_t @ eb.q).max()])
@@ -257,10 +270,11 @@ def constraint_linear_system(fs: FlowState, p: ModelParams):
     """The four X/Y relations as a linear system in (pi_{n+1}, pi_{n-1},
     eta_{n+1}, eta_{n-1}); the paper proves it has rank three."""
     eb = fs.bundle
-    n, a, b, s, t = eb.n, eb.a, eb.b, eb.s, eb.t
+    n, a, b = eb.n, eb.a, eb.b
     _, _, wS, wT = deformation_weights(eb)
     rp, rm = _ratios(eb)
     pe = eb.piv[1] * eb.etav[1]
+    bry_p, bry_p1, brx_q1, brx_q = _pq_brackets(eb)
     A = np.zeros((4, 4))
     rhs = np.zeros(4)
     # unknown order: pi_{n+1}, pi_{n-1}, eta_{n+1}, eta_{n-1}
@@ -272,13 +286,9 @@ def constraint_linear_system(fs: FlowState, p: ModelParams):
     A[1, 1] = -rm * eb.etav[1]
     rhs[1] = (eb.Y + wS * (rp * eb.p[1] * eb.q1[0] - rm * eb.p[2] * eb.q1[1])
               + wT * (rp * eb.p1[1] * eb.q[0] - rm * eb.p1[2] * eb.q[1]))
-    bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2]
-    bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2]
     A[2, 2] = rp / eb.etav[1]
     A[2, 3] = -rm / eb.etav[1]
     rhs[2] = eb.X - n - a + wS / pe * eb.q1[1] * bry_p + wT / pe * eb.q[1] * bry_p1
-    brx_q1 = rp * eb.q1[0] - (eb.X - s) * eb.q1[1] - rm * eb.q1[2]
-    brx_q = rp * eb.q[0] - (eb.X + t) * eb.q[1] - rm * eb.q[2]
     A[3, 0] = rp / eb.piv[1]
     A[3, 1] = -rm / eb.piv[1]
     rhs[3] = eb.Y - n - b + wS / pe * eb.p[1] * brx_q1 + wT / pe * eb.p1[1] * brx_q

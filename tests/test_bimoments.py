@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from bhgap import bimoments, ensembles
 from bhgap.bimoments import (
     alpha_moment,
     beta_moment,
@@ -14,6 +16,7 @@ from bhgap.bimoments import (
     ubh_pf_matrix,
 )
 from bhgap.params import INF, DeformPoint, DomainError, ModelParams
+from bhgap.specfun import SpecFunResult
 
 mp.mp.dps = 25
 
@@ -188,3 +191,39 @@ def test_ubh_rescaled_consistency_at_real_z():
     got = ubh_pf_element_rescaled(0, 1, a, complex(z), u)
     want = ubh_pf_element(0, 1, p, d)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, bimoments._NODE_M])
+def test_node_evaluates_each_special_function_once_per_order(monkeypatch, m):
+    # a node needs e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z) and
+    # e^z Gamma2(a+j; z, z) for j < m; the m = 1 border needs the first only
+    calls = Counter()
+
+    def counted(fn):
+        def wrapped(order, z):
+            calls[fn.__name__] += 1
+            return fn(order, z)
+        return wrapped
+
+    for name in ("gamma_upper_scaled", "gamma2_diag_scaled"):
+        monkeypatch.setattr(bimoments, name, counted(getattr(bimoments, name)))
+    bimoments.clear_caches()
+    ensembles._xi_coefficients(m, 0.5, complex(0.3, 0.4))
+    want = (1, 0) if m == 1 else (2 * m, m)
+    assert (calls["gamma_upper_scaled"], calls["gamma2_diag_scaled"]) == want
+
+
+def test_laplace_caches_hold_at_most_one_node(monkeypatch):
+    # no z recurs across contour nodes, so nothing older than a node is kept
+    fake = lambda order, z: SpecFunResult(complex(order, 1.0), 0.0)
+    monkeypatch.setattr(bimoments, "gamma_upper_scaled", fake)
+    monkeypatch.setattr(bimoments, "gamma2_diag_scaled", fake)
+    bimoments.clear_caches()
+    for i in range(200):
+        ensembles._xi_coefficients(5, 0.5, complex(0.3, 0.1 + 0.01 * i))
+    nm = bimoments._NODE_M
+    assert bimoments._node_value.cache_info().currsize <= 3 * nm
+    assert bimoments._ubh_blocks.cache_info().currsize <= nm * (nm - 1) // 2
+    bimoments.clear_caches()
+    assert bimoments._node_value.cache_info().currsize == 0
+    assert bimoments._ubh_blocks.cache_info().currsize == 0

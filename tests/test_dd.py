@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,3 +73,15 @@ def test_vsum_of_positive_terms():
         acc = acc + dd.DD(h, l)
     got = dd.vsum(x)
     assert abs((got.hi - acc.hi) + (got.lo - acc.lo)) <= 1e-30 * acc.hi
+
+
+@pytest.mark.parametrize("x", [1e-305, 1e-307, 2.2250738585072014e-308, 5e-324])
+def test_ln_of_tiny_arguments(x):
+    # the Newton step's e^-seed would overflow without the 2^e split
+    with mpmath.workdps(40):
+        want = mpmath.log(mpmath.mpf(x))
+        got = [dd.dd_ln(dd.DD(x))]
+        h, l = dd.vln((np.array([x]), np.zeros(1)))
+        got.append(dd.DD(h[0], l[0]))
+        for g in got:
+            assert abs((mpmath.mpf(g.hi) + mpmath.mpf(g.lo) - want) / want) <= 1e-30

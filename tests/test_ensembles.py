@@ -190,6 +190,24 @@ def test_z_bhft_m3_saturation():
     assert abs(z_bhft(p, 1.2).value - 1.0) <= 1e-6
 
 
+# (m, a, xi, t) -> (value, est_error), recorded before the special functions
+# of a contour node were shared between its blocks; m = 3 has a border
+BHFT_GOLDEN = {
+    (1, 0.5, 0.6, 0.3): (0.40000000000606306, 8.739432423394135e-12),
+    (2, 0.1, 0.6, 0.46): (0.39986114574921683, 5.5936798854206986e-12),
+    (3, 0.5, 0.7, 0.31): (0.25896253228722016, 3.1373484970452746e-12),
+    (4, 0.9, 0.8, 0.6): (0.6032421844939693, 1.5595242233464652e-10),
+    (4, 0.9, 0.8, 0.26): (0.11018942942859958, 2.628674251036834e-10),
+}
+
+
+@pytest.mark.parametrize("key", list(BHFT_GOLDEN))
+def test_z_bhft_golden_values(key):
+    m, a, xi, t = key
+    r = z_bhft(ModelParams(m=m, a=a, xi=xi), t)
+    assert (r.value, r.est_error) == BHFT_GOLDEN[key]
+
+
 def test_flow_route_matches_determinant():
     p = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
     d = DeformPoint(1.6, 1.2)

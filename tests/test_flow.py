@@ -159,6 +159,23 @@ def test_constraints_finite_at_infinite_cutoff(d):
     assert np.all(np.isfinite(constraint_residuals(from_moments(P, d, 2), P)))
 
 
+@pytest.mark.parametrize("d", [DeformPoint(INF, 2.0), DeformPoint(2.0, INF)])
+def test_constraint_system_finite_at_infinite_cutoff(d):
+    p = ModelParams(m=2, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    fs = from_moments(p, d, 2)
+    A, rhs = constraint_linear_system(fs, p)
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))
+    assert np.all(np.isfinite(project_constraints(fs, p).vector()))
+
+
+def test_constraint_system_rhs_at_finite_cutoff():
+    # recorded before the infinite-cutoff guard; a finite cutoff is untouched
+    p = ModelParams(m=2, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    _, rhs = constraint_linear_system(from_moments(p, DeformPoint(2.0, 1.5), 2), p)
+    assert rhs.tolist() == [-0.0014865198686759389, 2.0689670716870117,
+                            1.1963447417006219, -0.6173394391189907]
+
+
 def test_infinite_path_segment_rejected():
     fs = from_moments(P, DeformPoint(INF, 2.0), 2)
     with pytest.raises(DomainError):
