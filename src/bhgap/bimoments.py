@@ -7,12 +7,13 @@ sentinel in (s, t) short-circuits to the undeformed Laguerre formulas.
 For the Laplace-inversion path the cutoff argument z is complex with
 Re z << 0 possible; the UBH elements are then assembled from exponentially
 rescaled blocks (one factor e^-z per power of the generating variable), so
-no large exponentials ever appear in floating point.  A contour node z needs
-three special-function values per order j (e^z Gamma(a+1+j, z),
-e^z Gamma(-a-1-j, z), e^z Gamma2(a+j; z, z)); each is computed once per
-(order, node) and shared by every block and border entry at that node.  No z
-recurs across nodes, so reuse happens only within a node, and the caches
-are bounded to hold one whole node up to m = 30 (`_NODE_M`).
+no large exponentials ever appear in floating point.  A contour node z of
+the m-dimensional matrix needs three special-function families at the
+orders j < m: e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z) and
+e^z Gamma2(a+j; z, z).  Each family is one quadrature- or continued-fraction
+value, extended to the other orders by an exact three-term recurrence run
+in its stable direction (`_node_ladders`).  No z recurs across nodes, so the
+node cache (`_node_blocks`, keyed by (m, a, z)) holds one node.
 """
 from __future__ import annotations
 
@@ -35,12 +36,6 @@ from .specfun import (
 
 def _is_zero(x) -> bool:
     return x == 0
-
-
-def _powc(z: complex, p: float) -> complex:
-    if isinstance(z, complex):
-        return cmath.exp(p * cmath.log(z))
-    return z ** p
 
 
 @functools.lru_cache(maxsize=100000)
@@ -114,42 +109,70 @@ def ubh_pf_border(j: int, p: ModelParams, d: DeformPoint) -> complex:
     return alpha_moment(j, p, d)
 
 
-# The Laplace-path caches hold one whole contour node up to this m; a smaller
-# bound would make a node's cyclic lookups evict each other.  Past about
-# m = 30 a node's float Pfaffian overflows anyway.
-_NODE_M = 30
+def _node_ladders(m: int, a: float, z: complex):
+    """The special functions of one contour node at the orders j < m:
+    pos[j] = e^z Gamma(a+1+j, z), neg[j] = e^z Gamma(-a-1-j, z) and
+    g2[j] = e^z Gamma2(a+j; z, z), built from three values by the exact
+    three-term relations (DLMF 8.8.1; the second from
+    u^(A+1)/(u+z) = u^A - z u^A/(u+z))
+
+        e^z Gamma(A+1, z)     = A e^z Gamma(A, z) + z^A,
+        e^z Gamma2(A+1; z, z) = e^z Gamma(A+1, z) - z e^z Gamma2(A; z, z).
+
+    pos and g2 run upward from a+1 and a.  neg starts at the j* whose order
+    magnitude a+1+j* is nearest |z| and runs away from it in both directions
+    (Gautschi, SIAM Review 9, 1967): upward in the order for j < j*, where
+    |z| > |A| damps errors by |A|/|z| per step, and downward for j > j*,
+    where |A| > |z| damps them by |z|/|A-1|.  At m = 1 only pos[0] is needed
+    (the border), and only it is computed."""
+    pos = [gamma_upper_scaled(a + 1.0, z).value]
+    if m == 1:
+        return pos, [], []
+    logz = cmath.log(z)
+    for j in range(1, m):
+        pos.append((a + j) * pos[-1] + cmath.exp((a + j) * logz))
+    g2 = [gamma2_diag_scaled(a, z).value]
+    for j in range(1, m):
+        g2.append(pos[j - 1] - z * g2[-1])
+    top = min(max(round(abs(z) - a - 1.0), 0), m - 1)
+    neg = [0j] * m
+    neg[top] = gamma_upper_scaled(-a - 1.0 - top, z).value
+    for j in range(top - 1, -1, -1):  # order A = -a-2-j up to A + 1
+        A = -a - 2.0 - j
+        neg[j] = A * neg[j + 1] + cmath.exp(A * logz)
+    for j in range(top + 1, m):  # order A + 1 = -a-j down to A
+        A = -a - 1.0 - j
+        neg[j] = (neg[j - 1] - cmath.exp(A * logz)) / A
+    return pos, neg, g2
 
 
-@functools.lru_cache(maxsize=3 * _NODE_M)
-def _node_value(fn, order: float, z: complex) -> complex:
-    """fn(order, z).value, computed once per (function, order, node); a node
-    at m orders needs 3m entries."""
-    return fn(order, z).value
+@functools.lru_cache(maxsize=1)
+def _node_blocks(m: int, a: float, z: complex):
+    """(pos, E0, E1, E2) of one contour node: the ladder pos of
+    `_node_ladders` for the border, and the element blocks as nested lists,
+    M_jk = E0[j][k] + u E1[j][k] + u^2 E2[j][k] with u = xi e^-z.  Each block
+    is purely algebraic in z (no large exponentials).
 
-
-@functools.lru_cache(maxsize=_NODE_M * (_NODE_M - 1) // 2)
-def _ubh_blocks(j: int, k: int, a: float, z: complex):
-    """Element blocks (E0, E1, E2) with M_jk = (E0 + u E1 + u^2 E2) / (2a+2+j+k),
-    u = xi e^-z.  Each block is purely algebraic in z (no large exponentials).
-
-    Each special-function value is looked up in `_node_value`, one per order
-    and node.  The cache holds the m(m-1)/2 blocks of one node for
-    m <= _NODE_M, which the node's m + 1 bookkeeping values u reuse."""
-    gj, gk = gamma(a + 1.0 + j), gamma(a + 1.0 + k)
-    Gj = _node_value(gamma_upper_scaled, a + 1.0 + j, z)
-    Gk = _node_value(gamma_upper_scaled, a + 1.0 + k, z)
-    Gmj = _node_value(gamma_upper_scaled, -a - 1.0 - j, z)
-    Gmk = _node_value(gamma_upper_scaled, -a - 1.0 - k, z)
-    G2j = _node_value(gamma2_diag_scaled, a + float(j), z)
-    G2k = _node_value(gamma2_diag_scaled, a + float(k), z)
-    e0 = (j - k) * gj * gk
-    e1 = ((j - k) * (-gj * Gk - gk * Gj)
-          + 2.0 * _powc(z, 2 * a + 2 + j + k) * (gamma(a + 2.0 + j) * Gmj - gamma(a + 2.0 + k) * Gmk))
-    e2 = ((j - k) * Gj * Gk
-          + 2.0 * (_powc(z, a + 1 + j) * Gk - _powc(z, a + 1 + k) * Gj
-                   + _powc(z, a + 2 + k) * G2j - _powc(z, a + 2 + j) * G2k))
-    den = 2.0 * a + 2.0 + j + k
-    return e0 / den, e1 / den, e2 / den
+    Keyed by (m, a, z) and holding one node: no z recurs across nodes, and
+    every element and border entry of a node, at each of its m + 1
+    bookkeeping values u, reads the same entry."""
+    pos, neg, g2 = _node_ladders(m, a, z)
+    if m == 1:
+        return pos, [], [], []
+    idx = np.arange(m)
+    g = np.array([gamma(a + 1.0 + j) for j in range(m + 1)])  # Gamma(a+1+j), j <= m
+    zp = np.exp((a + 1.0 + np.arange(m + 1)) * cmath.log(z))  # z^(a+1+j), j <= m
+    gp, gn, g2 = np.array(pos), np.array(neg), np.array(g2)
+    gm, zm = g[:m], zp[:m]
+    jk = np.subtract.outer(idx, idx)
+    e0 = jk * np.outer(gm, gm)
+    e1 = (-jk * (np.outer(gm, gp) + np.outer(gp, gm))
+          + 2.0 * np.outer(zm, zm) * np.subtract.outer(g[1:] * gn, g[1:] * gn))
+    e2 = (jk * np.outer(gp, gp)
+          + 2.0 * (np.outer(zm, gp) - np.outer(gp, zm)
+                   + np.outer(g2, zp[1:]) - np.outer(zp[1:], g2)))
+    den = 2.0 * a + 2.0 + np.add.outer(idx, idx)
+    return pos, (e0 / den).tolist(), (e1 / den).tolist(), (e2 / den).tolist()
 
 
 def ubh_pf_element(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
@@ -163,24 +186,27 @@ def ubh_pf_element(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
     if d.s == INF or _is_zero(p.xi):
         return (j - k) * gamma(p.a + 1.0 + j) * gamma(p.a + 1.0 + k) / (2.0 * p.a + 2.0 + j + k)
     z = d.s
-    e0, e1, e2 = _ubh_blocks(j, k, p.a, complex(z) if isinstance(z, complex) else float(z))
+    _, e0, e1, e2 = _node_blocks(max(p.m, j + 1, k + 1), p.a,
+                                 complex(z) if isinstance(z, complex) else float(z))
     u = p.xi * cmath.exp(-complex(z)) if isinstance(z, complex) else p.xi * math.exp(-z)
-    v = e0 + u * e1 + u * u * e2
+    v = e0[j][k] + u * e1[j][k] + u * u * e2[j][k]
     if isinstance(v, complex) and v.imag == 0.0:
         return v.real
     return v
 
 
-def ubh_pf_element_rescaled(j: int, k: int, a: float, z: complex, u: complex) -> complex:
-    """Element at bookkeeping variable u standing for xi e^-z (Laplace path)."""
+def ubh_pf_element_rescaled(j: int, k: int, m: int, a: float, z: complex,
+                            u: complex) -> complex:
+    """Element of the m-dimensional matrix at bookkeeping variable u standing
+    for xi e^-z (Laplace path)."""
     if j == k:
         return 0.0
-    e0, e1, e2 = _ubh_blocks(j, k, a, z)
-    return e0 + u * e1 + u * u * e2
+    _, e0, e1, e2 = _node_blocks(m, a, z)
+    return e0[j][k] + u * e1[j][k] + u * u * e2[j][k]
 
 
-def ubh_pf_border_rescaled(j: int, a: float, z: complex, u: complex) -> complex:
-    return gamma(a + 1.0 + j) - u * _node_value(gamma_upper_scaled, a + 1.0 + j, z)
+def ubh_pf_border_rescaled(j: int, m: int, a: float, z: complex, u: complex) -> complex:
+    return gamma(a + 1.0 + j) - u * _node_blocks(m, a, z)[0][j]
 
 
 def ubh_pf_matrix(p: ModelParams, d: DeformPoint) -> np.ndarray:
@@ -208,5 +234,4 @@ def ubh_pf_matrix(p: ModelParams, d: DeformPoint) -> np.ndarray:
 def clear_caches() -> None:
     _alpha_shifted.cache_clear()
     _bimoment_shifted.cache_clear()
-    _ubh_blocks.cache_clear()
-    _node_value.cache_clear()
+    _node_blocks.cache_clear()

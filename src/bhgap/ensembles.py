@@ -187,11 +187,11 @@ def _pf_poly_values(m: int, a: float, z: complex, us: np.ndarray) -> np.ndarray:
         off = size - m
         if off:
             for jj in range(m):
-                mat[0, jj + 1] = ubh_pf_border_rescaled(jj, a, z, u)
+                mat[0, jj + 1] = ubh_pf_border_rescaled(jj, m, a, z, u)
                 mat[jj + 1, 0] = -mat[0, jj + 1]
         for jj in range(m):
             for kk in range(jj + 1, m):
-                mat[jj + off, kk + off] = ubh_pf_element_rescaled(jj, kk, a, z, u)
+                mat[jj + off, kk + off] = ubh_pf_element_rescaled(jj, kk, m, a, z, u)
                 mat[kk + off, jj + off] = -mat[jj + off, kk + off]
         out[iu] = plinalg.pfaffian(mat, check_skew=False)
     return out
@@ -269,7 +269,11 @@ def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32,
         total += (xi ** k * cur).real if isinstance(xi, complex) else (xi ** k) * cur
         est += abs(delta)
     val = scale * total
-    return GapResult(val, Route.LAPLACE, scale * est + 1e-12)
+    est = scale * est + 1e-12
+    if val < -est:
+        warnings.warn(f"z_bhft value {val:.3e} is negative beyond its estimated error"
+                      f" {est:.2e}", PrecisionWarning)
+    return GapResult(val, Route.LAPLACE, est)
 
 
 def fk_bridge_residual(m: int, a: float, xi: float, s: float) -> float:

@@ -90,6 +90,14 @@ def _lower_series(a: float, z: complex) -> tuple[complex, float]:
     return val, abs(val) * 8 * _EPS + abs(dl)
 
 
+def _upper_series(a: float, z: complex) -> tuple[complex, float]:
+    """Gamma(a, z) = Gamma(a) - gamma_lower(a, z) by the ascending series;
+    a > 0, or fractional a; free of cancellation for |z| < a + 1."""
+    low, lerr = _lower_series(a, z)
+    g = math.gamma(a)
+    return g - low, lerr + (abs(g) + abs(low)) * _EPS
+
+
 def _cf_scaled(a: float, z: complex) -> tuple[complex, float]:
     """Continued fraction C with Gamma(a, z) = e^-z z^a C (modified Lentz)."""
     tiny = 1e-300
@@ -151,9 +159,7 @@ def _gup_base_scaled(a0: float, z: complex) -> tuple[complex, float]:
         if _is_nonpos_int(a0):
             v, e = _e1(z)
         else:
-            low, lerr = _lower_series(a0, z)
-            g = math.gamma(a0)
-            v, e = g - low, lerr + (abs(g) + abs(low)) * _EPS
+            v, e = _upper_series(a0, z)
         return ez * v, abs(ez) * e
     cf, cerr = _cf_scaled(a0, z)
     za = _powc(z, a0)
@@ -166,9 +172,7 @@ def _gup_small_z(a: float, z: complex) -> tuple[complex, float]:
     if a >= -0.25:
         if _is_nonpos_int(a):
             return _e1(z)  # a == 0 is the only case here
-        low, lerr = _lower_series(a, z)
-        g = math.gamma(a)
-        return g - low, lerr + (abs(g) + abs(low)) * _EPS
+        return _upper_series(a, z)
     steps = int(math.ceil(-a - 0.25))
     a0 = a + steps
     sval, serr = _recurse_down_scaled(a0, z, steps, _gup_base_scaled(a0, z))
@@ -177,7 +181,10 @@ def _gup_small_z(a: float, z: complex) -> tuple[complex, float]:
 
 
 def _gup_quad_scaled(a: float, z: complex) -> tuple[complex, float]:
-    """e^z Gamma(a, z) = int_0^inf (z+tau)^(a-1) e^-tau dtau, z off the cut."""
+    """e^z Gamma(a, z) = int_0^inf (z+tau)^(a-1) e^-tau dtau, z off the cut.
+
+    full_output keeps QUADPACK's roundoff warning quiet; its error estimate
+    is returned instead."""
     pts = [0.0]
     if z.real < 0:
         pts.append(-z.real)
@@ -191,8 +198,10 @@ def _gup_quad_scaled(a: float, z: complex) -> tuple[complex, float]:
     val = 0j
     err = 0.0
     for lo, up in zip(pts[:-1], pts[1:]):
-        re, ere = quad(lambda x: f(x).real, lo, up, epsabs=1e-14, epsrel=1e-12, limit=300)
-        im, eim = quad(lambda x: f(x).imag, lo, up, epsabs=1e-14, epsrel=1e-12, limit=300)
+        re, ere = quad(lambda x: f(x).real, lo, up, epsabs=1e-14, epsrel=1e-12, limit=300,
+                       full_output=1)[:2]
+        im, eim = quad(lambda x: f(x).imag, lo, up, epsabs=1e-14, epsrel=1e-12, limit=300,
+                       full_output=1)[:2]
         val += re + 1j * im
         err += ere + eim
     tail = abs(f(hi)) * 2.0
@@ -251,6 +260,9 @@ def gamma_upper(a: float, z: complex) -> SpecFunResult:
         return _as_real(v, err)
     # complex z
     if z.real >= 0.5:
+        if a > 1e-12 and abs(z) < a + 1.0:  # the continued fraction fails here
+            v, err = _upper_series(a, z)
+            return SpecFunResult(v, err + abs(v) * 4 * _EPS)
         if _cf_is_safe(a, z):
             cf, cerr = _cf_scaled(a, z)
             pref = cmath.exp(-z + a * cmath.log(z))
@@ -272,6 +284,10 @@ def gamma_upper_scaled(a: float, z: complex) -> SpecFunResult:
     if _on_cut(z):
         raise DomainError(f"gamma_upper branch cut: z={z}")
     if z.real >= 0.5:
+        if a > 1e-12 and abs(z) < a + 1.0:  # as in gamma_upper
+            ez = cmath.exp(z)
+            v, err = _upper_series(a, z)
+            return SpecFunResult(ez * v, abs(ez) * err + abs(ez * v) * 4 * _EPS)
         if _cf_is_safe(a, z):
             cf, cerr = _cf_scaled(a, z)
             za = _powc(z, a)

@@ -188,15 +188,16 @@ def test_ubh_rescaled_consistency_at_real_z():
     p = ModelParams(m=2, a=a, b=0.0, xi=xi)
     d = DeformPoint(z, z)
     u = xi * math.exp(-z)
-    got = ubh_pf_element_rescaled(0, 1, a, complex(z), u)
+    got = ubh_pf_element_rescaled(0, 1, 2, a, complex(z), u)
     want = ubh_pf_element(0, 1, p, d)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, bimoments._NODE_M])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 30])
 def test_node_evaluates_each_special_function_once_per_order(monkeypatch, m):
     # a node needs e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z) and
-    # e^z Gamma2(a+j; z, z) for j < m; the m = 1 border needs the first only
+    # e^z Gamma2(a+j; z, z) for j < m, and computes one value of each family;
+    # the m = 1 border needs the first only
     calls = Counter()
 
     def counted(fn):
@@ -209,7 +210,7 @@ def test_node_evaluates_each_special_function_once_per_order(monkeypatch, m):
         monkeypatch.setattr(bimoments, name, counted(getattr(bimoments, name)))
     bimoments.clear_caches()
     ensembles._xi_coefficients(m, 0.5, complex(0.3, 0.4))
-    want = (1, 0) if m == 1 else (2 * m, m)
+    want = (1, 0) if m == 1 else (2, 1)
     assert (calls["gamma_upper_scaled"], calls["gamma2_diag_scaled"]) == want
 
 
@@ -221,9 +222,60 @@ def test_laplace_caches_hold_at_most_one_node(monkeypatch):
     bimoments.clear_caches()
     for i in range(200):
         ensembles._xi_coefficients(5, 0.5, complex(0.3, 0.1 + 0.01 * i))
-    nm = bimoments._NODE_M
-    assert bimoments._node_value.cache_info().currsize <= 3 * nm
-    assert bimoments._ubh_blocks.cache_info().currsize <= nm * (nm - 1) // 2
+    assert bimoments._node_blocks.cache_info().currsize <= 1
     bimoments.clear_caches()
-    assert bimoments._node_value.cache_info().currsize == 0
-    assert bimoments._ubh_blocks.cache_info().currsize == 0
+    assert bimoments._node_blocks.cache_info().currsize == 0
+
+
+def talbot_nodes(m, a, t, nodes=32):
+    """The contour nodes z = s t of z_bhft's coefficient k = 1 at nodes
+    points: the path of `ensembles._talbot_sum` at r = 1 - t."""
+    rv = 2.0 * nodes / (5.0 * (1.0 - t))
+    out = [complex(rv, 0.0) * t]
+    for i in range(1, nodes):
+        th = math.pi * i / nodes
+        out.append(rv * th * complex(math.cos(th) / math.sin(th), 1.0) * t)
+    return out
+
+
+def mp_ladders(m, a, z):
+    """40-digit e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z), e^z Gamma2(a+j; z, z)."""
+    with mp.workdps(40):
+        zz, aa = mp.mpc(z), mp.mpf(a)
+        ez = mp.exp(zz)
+        pos = [ez * mp.gammainc(aa + 1 + j, zz) for j in range(m)]
+        neg = [ez * mp.gammainc(-aa - 1 - j, zz) for j in range(m)]
+        # e^z Gamma2(A; z, z) = int_0^inf e^-tau (z+tau)^A / (2z+tau) dtau
+        # (the path avoids the pole at tau = -2z, which lies off the real axis
+        # or, for real z > 0, at negative tau)
+        brk = sorted({0, *(c for c in (-zz.real, -2 * zz.real) if c > 0)})
+        g2 = [mp.quad(lambda tau: mp.exp(-tau) * (zz + tau) ** (aa + j) / (2 * zz + tau),
+                      brk + [brk[-1] + 60, mp.inf])
+              for j in range(m)]
+        return [[complex(v) for v in f] for f in (pos, neg, g2)]
+
+
+LADDER_NODES = [  # (m, a, z): nodes of fixed-trace contours and two fixed points
+    *[(m, a, z) for m, a, t in [(2, 0.1, 0.46), (4, 0.9, 0.26), (8, 0.5, 0.1)]
+      for z in talbot_nodes(m, a, t)[::4]],
+    (12, 0.1, complex(0.7, 0.2)),
+    (12, -0.5, complex(-1.0, 2.5)),
+]
+
+
+def test_ladder_nodes_cover_both_directions():
+    # the fixture reaches Re z >= 0.5, Re z < 0, and both directions of the
+    # negative-order ladder (|z| < a + m puts its start above j = 0)
+    zs = [z for _, _, z in LADDER_NODES]
+    assert any(z.real >= 0.5 for z in zs) and any(z.real < 0 for z in zs)
+    tops = [round(abs(z) - a - 1.0) for m, a, z in LADDER_NODES]
+    assert any(0 < top < m - 1 for top, (m, _, _) in zip(tops, LADDER_NODES))
+
+
+@pytest.mark.parametrize("m, a, z", LADDER_NODES)
+def test_node_ladders_match_mpmath(m, a, z):
+    got = bimoments._node_ladders(m, a, z)
+    want = mp_ladders(m, a, z)
+    for fam, g, w in zip(("pos", "neg", "g2"), got, want):
+        for j in range(m):
+            assert abs(g[j] - w[j]) <= 1e-12 * abs(w[j]), (fam, j)

@@ -1,6 +1,8 @@
-"""Every name a bhgap module imports is used in that module, and every
-private helper it defines is used somewhere in the package."""
+"""Every name a bhgap module imports is used in that module, every
+private helper it defines is used somewhere in the package, and every
+attribute the benchmark tracer wraps exists."""
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bhgap"
@@ -56,3 +58,25 @@ def test_no_dead_private_helpers():
             if is_private_def(node)
             and not any(node.name in r for j, r in enumerate(refs) if j != i)]
     assert dead == []
+
+
+def tracer_tables() -> dict:
+    """LAYERS and CACHES of perfbench/tracer.py, read from its source
+    without importing it."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracer.py").read_text())
+    return {t.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name) and t.id in ("LAYERS", "CACHES")}
+
+
+def test_tracer_wrap_sites_resolve():
+    # the benchmark tracer wraps bhgap attributes by name; a renamed or moved
+    # function would otherwise break `perfbench/run.py --trace 1` unnoticed
+    tables = tracer_tables()
+    assert set(tables) == {"LAYERS", "CACHES"}
+    missing = [f"{mod}.{attr}" for _, mod, attr, _ in tables["LAYERS"]
+               if not hasattr(importlib.import_module(f"bhgap.{mod}"), attr)]
+    uncached = [f"{mod}.{attr}" for _, mod, attr in tables["CACHES"]
+                if not hasattr(getattr(importlib.import_module(f"bhgap.{mod}"), attr, None),
+                               "cache_info")]
+    assert (missing, uncached) == ([], [])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -90,6 +91,30 @@ def test_gamma_upper_complex_talbot_region(a, z):
 def test_gamma_upper_scaled(a, z):
     want = complex(mp.e ** mp.mpmathify(z) * mp.gammainc(mp.mpf(a), mp.mpmathify(z), mp.inf))
     assert relerr(gamma_upper_scaled(a, z).value, want) < 1e-10
+
+
+@pytest.mark.parametrize("a, z", [
+    (12.5, complex(2.0, 1.0)), (8.5, complex(1.24, 0.377)), (8.5, complex(0.6, 1.5)),
+])
+def test_gamma_upper_complex_below_order(a, z):
+    # Re z >= 0.5 and |z| < a + 1: the continued fraction converged to a
+    # wrong value here (2.3e-9 off at (12.5, 2 + i)) with a 2.7e-15 error claim
+    want = complex(mp.gammainc(mp.mpf(a), mp.mpmathify(z), mp.inf))
+    want_scaled = complex(mp.e ** mp.mpmathify(z) * mp.gammainc(mp.mpf(a), mp.mpmathify(z), mp.inf))
+    for got, w in ((gamma_upper(a, z), want), (gamma_upper_scaled(a, z), want_scaled)):
+        assert relerr(got.value, w) <= 1e-14
+        assert abs(got.value - w) <= got.est_abs_error
+
+
+def test_gamma_upper_scaled_quadrature_is_quiet():
+    # the call inside z_bhft(ModelParams(3, 0.5, 0, 0.7, 0), 0.26) whose
+    # QUADPACK roundoff warning used to escape
+    a, z = 3.5, complex(-4.229193424847858, 10.210176124166827)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gamma_upper_scaled(a, z)
+    want = complex(mp.e ** mp.mpmathify(z) * mp.gammainc(mp.mpf(a), mp.mpmathify(z), mp.inf))
+    assert relerr(got.value, want) <= 1e-14
 
 
 @given(
