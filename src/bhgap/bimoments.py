@@ -34,10 +34,6 @@ from .specfun import (
 )
 
 
-def _is_zero(x) -> bool:
-    return x == 0
-
-
 @functools.lru_cache(maxsize=100000)
 def _alpha_shifted(A: float, xi: complex, s) -> complex:
     """Deformed univariate moment Gamma(A+1) - xi Gamma(A+1, s).
@@ -45,7 +41,7 @@ def _alpha_shifted(A: float, xi: complex, s) -> complex:
     Assembled as (1 - xi) Gamma + xi gamma_lower: for cutoffs well below the
     order the direct subtraction would cancel to nothing.
     """
-    if _is_zero(xi) or s == INF:
+    if xi == 0 or s == INF:
         return gamma(A + 1.0)
     val = (1.0 - xi) * gamma(A + 1.0) + xi * gamma_lower(A + 1.0, s).value
     if isinstance(val, complex) and val.imag == 0.0:
@@ -74,8 +70,8 @@ def _bimoment_shifted(A: float, B: float, s, t, xi: complex, psi: complex) -> co
     if A + B + 1.0 <= 0.0:
         raise DomainError(
             f"bimoment diverges at the origin for A+B+1 = {A + B + 1.0} <= 0")
-    xi_off = _is_zero(xi) or s == INF
-    psi_off = _is_zero(psi) or t == INF
+    xi_off = xi == 0 or s == INF
+    psi_off = psi == 0 or t == INF
     val = _alpha_shifted(A, 0.0 if xi_off else xi, s) * _alpha_shifted(B, 0.0 if psi_off else psi, t)
     if not xi_off:
         inner = gamma(B + 1.0) * math.exp(s) * s ** B * gamma_upper(-B, s).value
@@ -183,7 +179,7 @@ def ubh_pf_element(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
     """
     if j == k:
         return 0.0
-    if d.s == INF or _is_zero(p.xi):
+    if d.s == INF or p.xi == 0:
         return (j - k) * gamma(p.a + 1.0 + j) * gamma(p.a + 1.0 + k) / (2.0 * p.a + 2.0 + j + k)
     z = d.s
     _, e0, e1, e2 = _node_blocks(max(p.m, j + 1, k + 1), p.a,

@@ -16,6 +16,7 @@ matrix conventions used by the kernel and Lax layers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -496,6 +497,34 @@ def deformation_weights(eb: EvalBundle):
         wt = eb.psi * eb.t ** eb.b * math.exp(-eb.t)
         wT = wt * eb.t
     return ws, wt, wS, wT
+
+
+Brackets = namedtuple("Brackets", "rp rm brx_q1 bry_q1 bry_p brx_q bry_q bry_p1")
+
+
+def brackets(eb: EvalBundle) -> Brackets:
+    """The norm ratios rp = S_n/S_n+1, rm = S_n-1/S_n and the six three-term
+    brackets rp v[0] - c v[1] - rm v[2] that the Lax matrices and the flow
+    read: at s, brx_q1 (v = Q1, c = X - s), bry_q1 (Q1, -(Y + s)) and bry_p
+    (P, Y + s); at t, brx_q (Q, X + t), bry_q (Q, -(Y - t)) and bry_p1
+    (P1, Y - t).
+
+    At an infinite sentinel cutoff that side's boundary values are zero and
+    enter only through the vanishing weight, so its three brackets are zero.
+    """
+    rp = eb.sv[1] / eb.sv[0]
+    rm = eb.sv[2] / eb.sv[1]
+    p, q, p1, q1, X, Y, s, t = eb.p, eb.q, eb.p1, eb.q1, eb.X, eb.Y, eb.s, eb.t
+    brx_q1 = bry_q1 = bry_p = brx_q = bry_q = bry_p1 = 0.0
+    if s != INF:
+        brx_q1 = rp * q1[0] - (X - s) * q1[1] - rm * q1[2]
+        bry_q1 = rp * q1[0] + (Y + s) * q1[1] - rm * q1[2]
+        bry_p = rp * p[0] - (Y + s) * p[1] - rm * p[2]
+    if t != INF:
+        brx_q = rp * q[0] - (X + t) * q[1] - rm * q[2]
+        bry_q = rp * q[0] + (Y - t) * q[1] - rm * q[2]
+        bry_p1 = rp * p1[0] - (Y - t) * p1[1] - rm * p1[2]
+    return Brackets(rp, rm, brx_q1, bry_q1, bry_p, brx_q, bry_q, bry_p1)
 
 
 def _dd_polyval(coeffs_dd, z, iscomplex):

@@ -190,9 +190,8 @@ def cmd_flow(cfg) -> int:
     end = DeformPoint(cfg["s1"] if cfg["s1"] is not None else cfg["s"][0],
                       cfg["t1"] if cfg["t1"] is not None else cfg["t"][0])
     fs0 = flowmod.from_moments(p, start, n)
-    traj = flowmod.integrate(fs0, p, [(start.s, start.t), (end.s, end.t)],
-                             tol=cfg["tol"])
-    table = flowmod.trajectory_table(traj, p)
+    traj = flowmod.integrate(fs0, [(start.s, start.t), (end.s, end.t)], tol=cfg["tol"])
+    table = flowmod.trajectory_table(traj)
     cols = (["s", "t"] + list(flowmod.VAR_NAMES)
             + [f"resid_{i}" for i in range(1, 9)])
     records = [{c: row[i] for i, c in enumerate(cols)} for row in table]
@@ -255,7 +254,7 @@ def verify_residuals(p: ModelParams, d: DeformPoint, nmax: int = 3,
             eb = fs.bundle.copy()
             eb.X *= 1.001
             fs = flowmod.FlowState(eb, fs.logZ)
-        r = max(r, float(np.abs(flowmod.constraint_residuals(fs, p)).max()))
+        r = max(r, float(np.abs(flowmod.constraint_residuals(fs)).max()))
     out["constraints"] = r
     r_inv = r_pair = 0.0
     for n in range(1, nmax + 1):

@@ -95,9 +95,6 @@ class DD:
         xd = DD(x)
         return (xd + self / xd) * DD(0.5)
 
-    def is_zero(self) -> bool:
-        return self.hi == 0.0 and self.lo == 0.0
-
 
 class CDD:
     __slots__ = ("re", "im")
@@ -138,9 +135,6 @@ class CDD:
         r = other.re / other.im
         d = other.re * r + other.im
         return CDD((self.re * r + self.im) / d, (self.im * r - self.re) / d)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
 
 
 def wrap(x, iscomplex: bool):

@@ -30,7 +30,6 @@ class Route(enum.Enum):
     PFAFFIAN = "pfaffian"
     FLOW = "flow"
     LAPLACE = "laplace"
-    ORACLE = "oracle"
 
 
 @dataclass(frozen=True)
@@ -159,17 +158,18 @@ def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
     return GapResult(val, Route.PFAFFIAN, est)
 
 
-def z_cl2m_flow(p: ModelParams, d: DeformPoint, start: DeformPoint | None = None,
-                tol: float = 1e-9) -> GapResult:
-    """Determinant route transported by the constrained deformation flow from
-    a moment-route seed at the path start."""
+def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
+    """Determinant route transported by the constrained deformation flow.
+
+    The flow starts from a moment-route seed at (s, t) = (1, 1) and runs
+    along the straight path to d at tolerance 1e-9; est_error is 1e-8 of
+    the value."""
     from . import flow as _flow
 
-    if start is None:
-        start = DeformPoint(1.0, 1.0)
+    tol = 1e-9
     c, _, _ = normalizations(p)
-    fs0 = _flow.from_moments(p, start, p.m)
-    traj = _flow.integrate(fs0, p, [(start.s, start.t), (d.s, d.t)], tol=tol)
+    fs0 = _flow.from_moments(p, DeformPoint(1.0, 1.0), p.m)
+    traj = _flow.integrate(fs0, [(1.0, 1.0), (d.s, d.t)], tol=tol)
     val = math.exp(traj[-1].logZ) / c
     return GapResult(val, Route.FLOW, abs(val) * max(10 * tol, 1e-9))
 
@@ -217,17 +217,18 @@ def _talbot_sum(f, r: float, nodes: int) -> float:
     return rv / nodes * tot
 
 
-def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32,
-           rtol: float = 1e-6) -> GapResult:
+def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32) -> GapResult:
     """Fixed-trace gap generating function at unit trace by per-coefficient
     fixed-Talbot inversion.
 
     The k-th generating-variable coefficient is inverted at the shifted time
     1 - k*t (zero contribution when k*t >= 1).  Refinement steps the node
-    count in small increments rather than doubling: fixed Talbot loses about
-    0.43*M digits to the e^(2M/5) endpoint factor in binary64, so beyond
-    ~48 nodes more nodes only amplify roundoff.
+    count in small increments rather than doubling, until two node counts
+    agree to 1e-6: fixed Talbot loses about 0.43*M digits to the e^(2M/5)
+    endpoint factor in binary64, so beyond ~48 nodes more nodes only amplify
+    roundoff.
     """
+    rtol = 1e-6
     tt = t if t is not None else 1.0
     if not tt > 0:
         raise DomainError(f"cutoff must be positive, got {tt}")

@@ -2,9 +2,13 @@
 
 The 23-variable state is the evaluation bundle (four boundary triples, the
 pi/eta triples, X, Y, and the three norms) plus log Z bookkeeping.  The
-right-hand sides are assembled purely from the current state: coupling
-kernels off anti-incidence come from the G-matrix bilinears, the two
-anti-incidence kernels from the finite limit formulas.
+right-hand sides are assembled purely from the current state, which carries
+a, b, xi and psi: coupling kernels off anti-incidence come from the G-matrix
+bilinears, the two anti-incidence kernels from the finite limit formulas,
+the brackets from ``bops.brackets``.  An infinite cutoff zeroes that side's
+boundary values, brackets and kernels, so each flow's right-hand side is
+finite at the other variable's infinite cutoff and raises DomainError at its
+own.
 
 Constraints are monitored, not projected, by default: they are conserved by
 the exact dynamics, so drift is a discretization diagnostic.  An optional
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, lax
-from .bops import EvalBundle, build_state, deformation_weights, eval_bundle, zdet
+from .bops import EvalBundle, brackets, build_state, deformation_weights, eval_bundle, zdet
 from .params import INF, DeformPoint, DomainError, ModelParams
 
 
@@ -81,32 +85,9 @@ def from_moments(p: ModelParams, d: DeformPoint, n: int) -> FlowState:
 # coefficient matrices of the total-derivative equations
 # ---------------------------------------------------------------------------
 
-def _ratios(eb: EvalBundle):
-    rp = eb.sv[1] / eb.sv[0]
-    rm = eb.sv[2] / eb.sv[1]
-    return rp, rm
-
-
-def _pq_brackets(eb: EvalBundle):
-    """The brackets (bry_p, bry_p1, brx_q1, brx_q) of the X/Y ratio relations.
-
-    At an infinite cutoff that side's boundary values are zero and enter
-    only through the vanishing weight, so its two brackets are zero."""
-    rp, rm = _ratios(eb)
-    s, t = eb.s, eb.t
-    bry_p = brx_q1 = bry_p1 = brx_q = 0.0
-    if s != INF:
-        bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2]
-        brx_q1 = rp * eb.q1[0] - (eb.X - s) * eb.q1[1] - rm * eb.q1[2]
-    if t != INF:
-        bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2]
-        brx_q = rp * eb.q[0] - (eb.X + t) * eb.q[1] - rm * eb.q[2]
-    return bry_p, bry_p1, brx_q1, brx_q
-
-
-def _a0_plus(eb: EvalBundle, wT: float) -> np.ndarray:
+def _a0_plus(eb: EvalBundle, br, wT: float) -> np.ndarray:
     n, a, b, s = eb.n, eb.a, eb.b, eb.s
-    rp, rm = _ratios(eb)
+    rp, rm = br.rp, br.rm
     pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
     return np.array([
         [n + 1.0 - rp * pr_u, pr_u * (eb.Y + s), rm * pr_u],
@@ -115,9 +96,9 @@ def _a0_plus(eb: EvalBundle, wT: float) -> np.ndarray:
     ])
 
 
-def _a0_minus(eb: EvalBundle, wS: float) -> np.ndarray:
+def _a0_minus(eb: EvalBundle, br, wS: float) -> np.ndarray:
     n, a, b, t = eb.n, eb.a, eb.b, eb.t
-    rp, rm = _ratios(eb)
+    rp, rm = br.rp, br.rm
     pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
     return np.array([
         [n + 1.0 + a + t - rp * pr_u, pr_u * (eb.Y - t), rm * pr_u],
@@ -126,9 +107,9 @@ def _a0_minus(eb: EvalBundle, wS: float) -> np.ndarray:
     ])
 
 
-def _d0_plus(eb: EvalBundle, wS: float) -> np.ndarray:
+def _d0_plus(eb: EvalBundle, br, wS: float) -> np.ndarray:
     n, a, b, t = eb.n, eb.a, eb.b, eb.t
-    rp, rm = _ratios(eb)
+    rp, rm = br.rp, br.rm
     er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
     return np.array([
         [n + 1.0 - rp * er_u, er_u * (eb.X + t), rm * er_u],
@@ -137,9 +118,9 @@ def _d0_plus(eb: EvalBundle, wS: float) -> np.ndarray:
     ])
 
 
-def _d0_minus(eb: EvalBundle, wT: float) -> np.ndarray:
+def _d0_minus(eb: EvalBundle, br, wT: float) -> np.ndarray:
     n, a, b, s = eb.n, eb.a, eb.b, eb.s
-    rp, rm = _ratios(eb)
+    rp, rm = br.rp, br.rm
     er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
     return np.array([
         [n + 1.0 + b + s - rp * er_u, er_u * (eb.X - s), rm * er_u],
@@ -149,35 +130,44 @@ def _d0_minus(eb: EvalBundle, wT: float) -> np.ndarray:
 
 
 def _kernels_from_state(eb: EvalBundle, lb) -> dict:
+    # a kernel whose boundary point sits at an infinite cutoff is zero, like
+    # the boundary values there
     pe = eb.piv[1] * eb.etav[1]
     s, t = eb.s, eb.t
-    k00 = eb.p @ kernels.gmatrix(eb, s, t) @ eb.q / (pe * (s + t))
-    k11 = eb.p1 @ kernels.gmatrix(eb, -t, -s) @ eb.q1 / (pe * (-t - s))
-    k01_n = kernels.kernel01_limit(eb, lb)
-    k10_n = kernels.kernel10_limit(eb, lb)
+    k00 = k11 = k01_n = k10_n = 0.0
+    if s != INF and t != INF:
+        k00 = eb.p @ kernels.gmatrix(eb, s, t) @ eb.q / (pe * (s + t))
+        k11 = eb.p1 @ kernels.gmatrix(eb, -t, -s) @ eb.q1 / (pe * (-t - s))
+    if s != INF:
+        k01_n = kernels.kernel01_limit(eb, lb)
+    if t != INF:
+        k10_n = kernels.kernel10_limit(eb, lb)
     return {"k00": k00, "k11": k11, "k01_n": k01_n, "k10_n": k10_n,
             "k01": k01_n - eb.p[1] * eb.q1[1], "k10": k10_n - eb.p1[1] * eb.q[1]}
 
 
-def rhs_total_s(fs: FlowState, p: ModelParams, lb=None, kv=None) -> np.ndarray:
-    """d/ds of the 24-component state vector along the s-flow."""
+def rhs_total_s(fs: FlowState, lb=None, kv=None) -> np.ndarray:
+    """d/ds of the 24-component state vector along the s-flow; raises
+    DomainError at an infinite s."""
     eb = fs.bundle
+    if eb.s == INF:
+        raise DomainError("the s-flow needs a finite s cutoff")
     if lb is None:
         lb = lax.build_lax(eb)
     if kv is None:
         kv = _kernels_from_state(eb, lb)
-    s, t = eb.s, eb.t
+    s = eb.s
     ws, wt, wS, wT = deformation_weights(eb)
-    rp, rm = _ratios(eb)
+    br = lb.br
+    rp, rm = br.rp, br.rm
     adiag = 0.5 * wS * np.diag([eb.p[0] * eb.q1[0], -eb.p[1] * eb.q1[1],
                                 -eb.p[2] * eb.q1[2]])
-    dp = ((_a0_plus(eb, wT) + adiag) @ eb.p - wT * kv["k00"] * eb.p1) / s
+    dp = ((_a0_plus(eb, br, wT) + adiag) @ eb.p - wT * kv["k00"] * eb.p1) / s
     dq = lb.B_inf0b @ eb.q + ws * kv["k00"] * eb.q1
     dp1 = lb.B_inf0 @ eb.p1 + ws * kv["k11"] * eb.p
-    dq1 = ((_d0_minus(eb, wT) + adiag) @ eb.q1 - wT * kv["k11"] * eb.q) / s
-    dpi = lb.B_inf0 @ eb.piv - ws / eb.etav[1] * lb.brx_s * eb.p
-    bry_p = rp * eb.p[0] - (eb.Y + s) * eb.p[1] - rm * eb.p[2]
-    deta = lb.B_inf0b @ eb.etav - ws / eb.piv[1] * bry_p * eb.q1
+    dq1 = ((_d0_minus(eb, br, wT) + adiag) @ eb.q1 - wT * kv["k11"] * eb.q) / s
+    dpi = lb.B_inf0 @ eb.piv - ws / eb.etav[1] * br.brx_q1 * eb.p
+    deta = lb.B_inf0b @ eb.etav - ws / eb.piv[1] * br.bry_p * eb.q1
     dX = ws * (-rp * eb.p[0] * eb.q1[1] + rm * eb.p[1] * eb.q1[2])
     dY = ws * (-rp * eb.p[1] * eb.q1[0] + rm * eb.p[2] * eb.q1[1])
     dS = 0.5 * ws * eb.sv * eb.p * eb.q1
@@ -185,25 +175,28 @@ def rhs_total_s(fs: FlowState, p: ModelParams, lb=None, kv=None) -> np.ndarray:
     return np.concatenate([dp, dq, dp1, dq1, dpi, deta, [dX, dY], dS, [dlz]])
 
 
-def rhs_total_t(fs: FlowState, p: ModelParams, lb=None, kv=None) -> np.ndarray:
-    """d/dt of the 24-component state vector along the t-flow."""
+def rhs_total_t(fs: FlowState, lb=None, kv=None) -> np.ndarray:
+    """d/dt of the 24-component state vector along the t-flow; raises
+    DomainError at an infinite t."""
     eb = fs.bundle
+    if eb.t == INF:
+        raise DomainError("the t-flow needs a finite t cutoff")
     if lb is None:
         lb = lax.build_lax(eb)
     if kv is None:
         kv = _kernels_from_state(eb, lb)
-    s, t = eb.s, eb.t
+    t = eb.t
     ws, wt, wS, wT = deformation_weights(eb)
-    rp, rm = _ratios(eb)
+    br = lb.br
+    rp, rm = br.rp, br.rm
     ddiag = 0.5 * wT * np.diag([eb.p1[0] * eb.q[0], -eb.p1[1] * eb.q[1],
                                 -eb.p1[2] * eb.q[2]])
     dp = lb.C_inf0 @ eb.p + wt * kv["k00"] * eb.p1
-    dq = ((_d0_plus(eb, wS) + ddiag) @ eb.q - wS * kv["k00"] * eb.q1) / t
-    dp1 = ((_a0_minus(eb, wS) + ddiag) @ eb.p1 - wS * kv["k11"] * eb.p) / t
+    dq = ((_d0_plus(eb, br, wS) + ddiag) @ eb.q - wS * kv["k00"] * eb.q1) / t
+    dp1 = ((_a0_minus(eb, br, wS) + ddiag) @ eb.p1 - wS * kv["k11"] * eb.p) / t
     dq1 = lb.C_inf0b @ eb.q1 + wt * kv["k11"] * eb.q
-    dpi = lb.C_inf0 @ eb.piv - wt / eb.etav[1] * lb.brx_t * eb.p1
-    bry_p1 = rp * eb.p1[0] - (eb.Y - t) * eb.p1[1] - rm * eb.p1[2]
-    deta = lb.C_inf0b @ eb.etav - wt / eb.piv[1] * bry_p1 * eb.q
+    dpi = lb.C_inf0 @ eb.piv - wt / eb.etav[1] * br.brx_q * eb.p1
+    deta = lb.C_inf0b @ eb.etav - wt / eb.piv[1] * br.bry_p1 * eb.q
     dX = wt * (-rp * eb.p1[0] * eb.q[1] + rm * eb.p1[1] * eb.q[2])
     dY = wt * (-rp * eb.p1[1] * eb.q[0] + rm * eb.p1[2] * eb.q[1])
     dS = 0.5 * wt * eb.sv * eb.p1 * eb.q
@@ -215,16 +208,16 @@ def rhs_total_t(fs: FlowState, p: ModelParams, lb=None, kv=None) -> np.ndarray:
 # constraints
 # ---------------------------------------------------------------------------
 
-def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
+def constraint_residuals(fs: FlowState) -> np.ndarray:
     """The eight constraint residuals, each normalized by its largest term."""
     eb = fs.bundle
     n, a, b, s, t = eb.n, eb.a, eb.b, eb.s, eb.t
     _, _, wS, wT = deformation_weights(eb)
-    rp, rm = _ratios(eb)
-    pe = eb.piv[1] * eb.etav[1]
     # at an infinite cutoff that side's boundary values are zero and enter
     # only through the vanishing weight: its brackets and bilinear are zero
-    bry_p, bry_p1, brx_q1, brx_q = _pq_brackets(eb)
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
+    pe = eb.piv[1] * eb.etav[1]
     out = np.zeros(8)
 
     def norm(vals):
@@ -248,11 +241,11 @@ def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
     out[3] = (eb.Y - (t4[1] - t4[2] - (t4[3] - t4[4]) - (t4[5] - t4[6]))) / norm(t4)
     # (5) X vs eta ratios
     t5 = [eb.X, n + a, rp * eb.etav[0] / eb.etav[1], rm * eb.etav[2] / eb.etav[1],
-          wS / pe * eb.q1[1] * bry_p, wT / pe * eb.q[1] * bry_p1]
+          wS / pe * eb.q1[1] * br.bry_p, wT / pe * eb.q[1] * br.bry_p1]
     out[4] = (eb.X - t5[1] - t5[2] + t5[3] + t5[4] + t5[5]) / norm(t5)
     # (6) Y vs pi ratios
     t6 = [eb.Y, n + b, rp * eb.piv[0] / eb.piv[1], rm * eb.piv[2] / eb.piv[1],
-          wS / pe * eb.p[1] * brx_q1, wT / pe * eb.p1[1] * brx_q]
+          wS / pe * eb.p[1] * br.brx_q1, wT / pe * eb.p1[1] * br.brx_q]
     out[5] = (eb.Y - t6[1] - t6[2] + t6[3] + t6[4] + t6[5]) / norm(t6)
     # (7)+(8) bilinear orthogonality at anti-incidence
     if s != INF:
@@ -266,15 +259,15 @@ def constraint_residuals(fs: FlowState, p: ModelParams) -> np.ndarray:
     return out
 
 
-def constraint_linear_system(fs: FlowState, p: ModelParams):
+def constraint_linear_system(fs: FlowState):
     """The four X/Y relations as a linear system in (pi_{n+1}, pi_{n-1},
     eta_{n+1}, eta_{n-1}); the paper proves it has rank three."""
     eb = fs.bundle
     n, a, b = eb.n, eb.a, eb.b
     _, _, wS, wT = deformation_weights(eb)
-    rp, rm = _ratios(eb)
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
     pe = eb.piv[1] * eb.etav[1]
-    bry_p, bry_p1, brx_q1, brx_q = _pq_brackets(eb)
     A = np.zeros((4, 4))
     rhs = np.zeros(4)
     # unknown order: pi_{n+1}, pi_{n-1}, eta_{n+1}, eta_{n-1}
@@ -288,21 +281,21 @@ def constraint_linear_system(fs: FlowState, p: ModelParams):
               + wT * (rp * eb.p1[1] * eb.q[0] - rm * eb.p1[2] * eb.q[1]))
     A[2, 2] = rp / eb.etav[1]
     A[2, 3] = -rm / eb.etav[1]
-    rhs[2] = eb.X - n - a + wS / pe * eb.q1[1] * bry_p + wT / pe * eb.q[1] * bry_p1
+    rhs[2] = eb.X - n - a + wS / pe * eb.q1[1] * br.bry_p + wT / pe * eb.q[1] * br.bry_p1
     A[3, 0] = rp / eb.piv[1]
     A[3, 1] = -rm / eb.piv[1]
-    rhs[3] = eb.Y - n - b + wS / pe * eb.p[1] * brx_q1 + wT / pe * eb.p1[1] * brx_q
+    rhs[3] = eb.Y - n - b + wS / pe * eb.p[1] * br.brx_q1 + wT / pe * eb.p1[1] * br.brx_q
     return A, rhs
 
 
-def project_constraints(fs: FlowState, p: ModelParams) -> FlowState:
+def project_constraints(fs: FlowState) -> FlowState:
     """Least-squares correction of the four +-1 neighbors onto the linear
     constraint manifold (optional; drift is monitored by default).
 
     Rows are weighted by their term scale so the normalized residuals are
     what gets minimized; the system has rank three, so the minimal-norm
     correction is used."""
-    A, rhs = constraint_linear_system(fs, p)
+    A, rhs = constraint_linear_system(fs)
     eb = fs.bundle
     cur = np.array([eb.piv[0], eb.piv[2], eb.etav[0], eb.etav[2]])
     w = 1.0 / np.maximum(np.abs(A).max(axis=1) * np.abs(cur).max(), 1e-300)
@@ -314,7 +307,7 @@ def project_constraints(fs: FlowState, p: ModelParams) -> FlowState:
     return FlowState(eb2, fs.logZ)
 
 
-def rhs_decomposition_residual(fs: FlowState, p: ModelParams) -> float:
+def rhs_decomposition_residual(fs: FlowState) -> float:
     """Total = partial + spectral-chain consistency of the flow right-hand
     sides, checked componentwise on the boundary triples."""
     eb = fs.bundle
@@ -323,8 +316,8 @@ def rhs_decomposition_residual(fs: FlowState, p: ModelParams) -> float:
     kv = _kernels_from_state(eb, lb)
     s, t, a, b = eb.s, eb.t, eb.a, eb.b
     ws, wt, _, _ = deformation_weights(eb)
-    tot_s = rhs_total_s(fs, p, lb, kv)
-    tot_t = rhs_total_t(fs, p, lb, kv)
+    tot_s = rhs_total_s(fs, lb, kv)
+    tot_t = rhs_total_t(fs, lb, kv)
     worst = 0.0
     # s-flow, P(s): total = partial + d/dx
     partial = (lb.B_inf0 + ws * kv["k01_n"] * np.eye(3)) @ eb.p
@@ -370,6 +363,7 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_MAX_STEPS = 100000  # step attempts per path segment
 
 
 def _path_segments(path):
@@ -379,17 +373,19 @@ def _path_segments(path):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
-              project: bool = False, max_steps: int = 100000):
+def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
     """Integrate the flow along a piecewise-linear (s,t) path with an
     embedded Dormand-Prince 4/5 pair.
 
     At every accepted step the eight constraint residuals are evaluated; a
     step whose worst residual exceeds 100*tol is rejected and halved.  Below
-    the floor step the flow aborts with the offending constraint.  A NaN
-    error estimate or residual fails its guard like an oversized one.
+    the floor step (1e-12 of the segment) the flow aborts with the offending
+    constraint, and after 100,000 step attempts on one segment it aborts too.
+    A NaN error estimate or residual fails its guard like an oversized one.
+    A segment that is not finite, such as one along an infinite cutoff,
+    raises DomainError.
     """
-    init_res = np.abs(constraint_residuals(fs0, p)).max()
+    init_res = np.abs(constraint_residuals(fs0)).max()
     if not init_res <= 1e-8:
         raise FlowAbort(f"initial state violates constraints ({init_res:.2e})")
     traj = [fs0]
@@ -412,9 +408,9 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
             kv = _kernels_from_state(fs.bundle, lb)
             out = np.zeros_like(y)
             if ds:
-                out += ds * rhs_total_s(fs, p, lb, kv)
+                out += ds * rhs_total_s(fs, lb, kv)
             if dt:
-                out += dt * rhs_total_t(fs, p, lb, kv)
+                out += dt * rhs_total_t(fs, lb, kv)
             return out
 
         u = 0.0
@@ -422,7 +418,7 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
         h = 0.1
         steps = 0
         while u < 1.0 - 1e-14:
-            if steps >= max_steps:
+            if steps >= _MAX_STEPS:
                 raise FlowAbort("step budget exhausted")
             h = min(h, 1.0 - u)
             k = [f(u, y)]
@@ -442,7 +438,7 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
                 continue
             cand = FlowState.from_vector(y5, template, s0 + (u + h) * ds,
                                          t0 + (u + h) * dt)
-            res = np.abs(constraint_residuals(cand, p))
+            res = np.abs(constraint_residuals(cand))
             if not res.max() <= 100 * tol:
                 h = 0.5 * h
                 if h <= floor:
@@ -451,7 +447,7 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
                 steps += 1
                 continue
             if project:
-                cand = project_constraints(cand, p)
+                cand = project_constraints(cand)
             u += h
             y = cand.vector()
             traj.append(cand)
@@ -467,12 +463,13 @@ def integrate(fs0: FlowState, p: ModelParams, path, tol: float = 1e-8,
 # G-matrix total-derivative check
 # ---------------------------------------------------------------------------
 
-def g_derivative_check(fs: FlowState, p: ModelParams, h: float = 1e-4):
+def g_derivative_check(fs: FlowState, p: ModelParams):
     """Max-norm residuals of the displayed total derivatives of the
-    anti-incidence G-matrices (s- and t-versions), finite differences on the
-    moment route against the closed right-hand sides."""
+    anti-incidence G-matrices (s- and t-versions), central differences of
+    step 1e-4 on the moment route against the closed right-hand sides."""
     eb = fs.bundle
     s, t = eb.s, eb.t
+    h = 1e-4
     ws, wt, wS, wT = deformation_weights(eb)
     pe = eb.piv[1] * eb.etav[1]
     lb = lax.build_lax(eb)
@@ -484,12 +481,12 @@ def g_derivative_check(fs: FlowState, p: ModelParams, h: float = 1e-4):
 
     # s-version at (s, -s)
     fd = (g_of(s + h, t, s + h, -(s + h)) - g_of(s - h, t, s - h, -(s - h))) / (2 * h) * s
-    tot_s = rhs_total_s(fs, p, lb, kv)
+    tot_s = rhs_total_s(fs, lb, kv)
     dlog_pe = s * (tot_s[18] + tot_s[19]) / pe
     adiag = 0.5 * wS * np.diag([eb.p[0] * eb.q1[0], -eb.p[1] * eb.q1[1],
                                 -eb.p[2] * eb.q1[2]])
-    a_plus = _a0_plus(eb, wT) + adiag
-    d_minus = _d0_minus(eb, wT) + adiag
+    a_plus = _a0_plus(eb, lb.br, wT) + adiag
+    d_minus = _d0_minus(eb, lb.br, wT) + adiag
     g_ss = kernels.gmatrix(eb, s, -s)
     rhs = ((s - eb.a) * g_ss + dlog_pe * g_ss
            - a_plus.T @ g_ss - g_ss @ d_minus
@@ -500,12 +497,12 @@ def g_derivative_check(fs: FlowState, p: ModelParams, h: float = 1e-4):
     res_s = np.abs(fd - rhs).max() / max(np.abs(rhs).max(), 1.0)
     # t-version at (-t, t)
     fd = (g_of(s, t + h, -(t + h), t + h) - g_of(s, t - h, -(t - h), t - h)) / (2 * h) * t
-    tot_t = rhs_total_t(fs, p, lb, kv)
+    tot_t = rhs_total_t(fs, lb, kv)
     dlog_pe = t * (tot_t[18] + tot_t[19]) / pe
     ddiag = 0.5 * wT * np.diag([eb.p1[0] * eb.q[0], -eb.p1[1] * eb.q[1],
                                 -eb.p1[2] * eb.q[2]])
-    a_minus = _a0_minus(eb, wS) + ddiag
-    d_plus = _d0_plus(eb, wS) + ddiag
+    a_minus = _a0_minus(eb, lb.br, wS) + ddiag
+    d_plus = _d0_plus(eb, lb.br, wS) + ddiag
     g_tt = kernels.gmatrix(eb, -t, t)
     rhs = ((t - eb.b) * g_tt + dlog_pe * g_tt
            - a_minus.T @ g_tt - g_tt @ d_plus
@@ -517,10 +514,10 @@ def g_derivative_check(fs: FlowState, p: ModelParams, h: float = 1e-4):
     return float(res_s), float(res_t)
 
 
-def trajectory_table(traj, p: ModelParams):
+def trajectory_table(traj):
     """Rows of (s, t, 23 components, logZ, 8 residuals) for export."""
     rows = []
     for fs in traj:
-        res = constraint_residuals(fs, p)
+        res = constraint_residuals(fs)
         rows.append(np.concatenate([[fs.s, fs.t], fs.vector(), res]))
     return np.array(rows)

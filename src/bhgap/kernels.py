@@ -13,7 +13,7 @@ import numpy as np
 
 from .bops import (BopsState, EvalBundle, assoc1, build_state, deformation_weights,
                    eval_bundle, intertwined)
-from .params import DomainError
+from .params import INF, DomainError
 
 
 def _xy(state_or_eb):
@@ -160,8 +160,9 @@ def kernel01_limit(eb: EvalBundle, lax_bundle) -> float:
     """K^(0,1)_n(s, -s) by the finite anti-incidence limit formula."""
     pe = eb.piv[1] * eb.etav[1]
     s, t = eb.s, eb.t
-    core = (_mid_matrix(eb) + lax_bundle.A_sigma.T / s
-            - t / (s * (s + t)) * lax_bundle.A_mt.T)
+    core = _mid_matrix(eb) + lax_bundle.A_sigma.T / s
+    if t != INF:  # else the A_mt term's weight is zero
+        core = core - t / (s * (s + t)) * lax_bundle.A_mt.T
     g = gmatrix(eb, s, -s)
     return eb.p @ core @ g @ eb.q1 / pe
 
@@ -170,13 +171,14 @@ def kernel10_limit(eb: EvalBundle, lax_bundle) -> float:
     """K^(1,0)_n(-t, t) by the finite anti-incidence limit formula."""
     pe = eb.piv[1] * eb.etav[1]
     s, t = eb.s, eb.t
-    core = (_mid_matrix(eb) - lax_bundle.A_sigma.T / t
-            + s / (t * (s + t)) * lax_bundle.A_s.T)
+    core = _mid_matrix(eb) - lax_bundle.A_sigma.T / t
+    if s != INF:  # else the A_s term's weight is zero
+        core = core + s / (t * (s + t)) * lax_bundle.A_s.T
     g = gmatrix(eb, -t, t)
     return eb.p1 @ core @ g @ eb.q / pe
 
 
-def sigma_tau(state_or_eb, lax_bundle=None):
+def sigma_tau(state_or_eb):
     """(sigma_n, tau_n) = (s dlogZ/ds, t dlogZ/dt) through the kernel limits."""
     from . import lax as _lax
 
@@ -191,8 +193,7 @@ def sigma_tau(state_or_eb, lax_bundle=None):
     _, _, wS, wT = deformation_weights(eb)
     if wS == 0.0 and wT == 0.0:
         return 0.0, 0.0
-    if lax_bundle is None:
-        lax_bundle = _lax.build_lax(eb)
+    lax_bundle = _lax.build_lax(eb)
     sigma = tau = 0.0
     if wS != 0.0:
         k01 = kernel01_limit(eb, lax_bundle) - eb.p[1] * eb.q1[1]  # limit at n, shifted to n-1

@@ -7,19 +7,24 @@ xi<->psi, P<->Q) through the same code path.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bops import BopsState, EvalBundle, build_state, deformation_weights, eval_bundle
+from .bops import (BopsState, Brackets, EvalBundle, brackets, build_state, deformation_weights,
+                   eval_bundle)
 from .kernels import gmatrix
 from .params import DomainError, GenericityError
 
 
 @dataclass
 class LaxBundle:
-    """Residue matrices at one (n, s, t); A_0 = A_sigma - A_s - A_mt."""
+    """Residue matrices at one (n, s, t); A_0 = A_sigma - A_s - A_mt.
+
+    B_inf0, B_inf0b, C_inf0 and C_inf0b are the diagonal-plus-corner parts of
+    B_inf and C_inf, and br the ``bops.brackets`` of the bundle the matrices
+    were built from; the deformation flow reuses all five.
+    """
 
     n: int
     A_inf: np.ndarray
@@ -36,10 +41,7 @@ class LaxBundle:
     B_inf0b: np.ndarray
     C_inf0: np.ndarray
     C_inf0b: np.ndarray
-    brx_s: float
-    bry_s: float
-    brx_t: float
-    bry_t: float
+    br: Brackets
 
 
 def _as_bundle(state_or_eb) -> EvalBundle:
@@ -48,38 +50,13 @@ def _as_bundle(state_or_eb) -> EvalBundle:
     return state_or_eb
 
 
-def _brackets(eb: EvalBundle):
-    """The recurring three-term combinations of the boundary vectors.
-
-    brx_*: S_n/S_n+1 v[0] - (X -/+ cut) v[1] - S_n-1/S_n v[2]
-    bry_*: S_n/S_n+1 v[0] + (Y +/- cut) v[1] - S_n-1/S_n v[2]
-
-    Zero at an infinite sentinel cutoff, where they only appear multiplied by
-    the vanishing weight.
-    """
-    rp = eb.sv[1] / eb.sv[0]
-    rm = eb.sv[2] / eb.sv[1]
-    q1, qt = eb.q1, eb.q
-    if eb.s != math.inf:
-        brx_s = rp * q1[0] - (eb.X - eb.s) * q1[1] - rm * q1[2]
-        bry_s = rp * q1[0] + (eb.Y + eb.s) * q1[1] - rm * q1[2]
-    else:
-        brx_s = bry_s = 0.0
-    if eb.t != math.inf:
-        brx_t = rp * qt[0] - (eb.X + eb.t) * qt[1] - rm * qt[2]
-        bry_t = rp * qt[0] + (eb.Y - eb.t) * qt[1] - rm * qt[2]
-    else:
-        brx_t = bry_t = 0.0
-    return brx_s, bry_s, brx_t, bry_t
-
-
 def build_lax(state_or_eb) -> LaxBundle:
     """Assemble all residue matrices of the spectral and deformation equations."""
     eb = _as_bundle(state_or_eb)
     if eb.n < 1:
         raise DomainError("residue matrices need n >= 1")
     n, s, t, a, b = eb.n, eb.s, eb.t, eb.a, eb.b
-    piv, etav, sv = eb.piv, eb.etav, eb.sv
+    piv, etav = eb.piv, eb.etav
     pe = piv[1] * etav[1]
     if pe == 0:
         raise GenericityError("pi_n eta_n vanished", index=n)
@@ -91,15 +68,14 @@ def build_lax(state_or_eb) -> LaxBundle:
            if ws != 0.0 else np.zeros((3, 3)))
     A_mt = (wt / pe * np.outer(eb.p1, gmatrix(eb, -t, t) @ eb.q)
             if wt != 0.0 else np.zeros((3, 3)))
-    brx_s, bry_s, brx_t, bry_t = _brackets(eb)
-    rp = sv[1] / sv[0]
-    rm = sv[2] / sv[1]
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
     a10 = (piv[0] / piv[1] * eb.Y
-           + wS / pe * eb.p[0] * brx_s
-           + wT / pe * eb.p1[0] * brx_t)
+           + wS / pe * eb.p[0] * br.brx_q1
+           + wT / pe * eb.p1[0] * br.brx_q)
     am10 = (-piv[2] / piv[1] * eb.X
-            + wS / pe * eb.p[2] * bry_s
-            + wT / pe * eb.p1[2] * bry_t)
+            + wS / pe * eb.p[2] * br.bry_q1
+            + wT / pe * eb.p1[2] * br.bry_q)
     A_sigma = np.array([
         [n + 1.0 - rp * piv[0] / piv[1], a10, rm * piv[0] / piv[1]],
         [-rp, -a - 1.0 + rp * piv[0] / piv[1] - rm * piv[2] / piv[1], rm],
@@ -129,12 +105,12 @@ def build_lax(state_or_eb) -> LaxBundle:
     ])
     col = np.zeros((3, 3))
     col[:, 1] = psv
-    B_inf = B_inf0 - ws / pe * brx_s * col
+    B_inf = B_inf0 - ws / pe * br.brx_q1 * col
     col1 = np.zeros((3, 3))
     col1[:, 1] = p1v
-    C_inf = C_inf0 - wt / pe * brx_t * col1
+    C_inf = C_inf0 - wt / pe * br.brx_q * col1
     return LaxBundle(n, A_inf, A_s, A_mt, A_sigma, A_0, -A_s, B_inf, A_mt.copy(), C_inf,
-                     B_inf0, B_inf0b, C_inf0, C_inf0b, brx_s, bry_s, brx_t, bry_t)
+                     B_inf0, B_inf0b, C_inf0, C_inf0b, br)
 
 
 def q_side_lax(state_or_eb) -> LaxBundle:
@@ -164,16 +140,17 @@ def spectral_polys(state_or_eb, x):
     eb = _as_bundle(state_or_eb)
     s, t = eb.s, eb.t
     pe = eb.piv[1] * eb.etav[1]
-    rp = eb.sv[1] / eb.sv[0]
-    rm = eb.sv[2] / eb.sv[1]
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
     _, _, wS, wT = deformation_weights(eb)
     cs = wS * eb.p[1]
     ct = wT * eb.p1[1]
-    brx_s, bry_s, brx_t, bry_t = _brackets(eb)
     q1, qt = eb.q1, eb.q
     X, Y = eb.X, eb.Y
-    thp = rp * (-(x - s) * (x + t) - cs * (x + t) / pe * bry_s - ct * (x - s) / pe * bry_t)
-    thm = rm * ((x - s) * (x + t) + cs * (x + t) / pe * brx_s + ct * (x - s) / pe * brx_t)
+    thp = rp * (-(x - s) * (x + t) - cs * (x + t) / pe * br.bry_q1
+                - ct * (x - s) / pe * br.bry_q)
+    thm = rm * ((x - s) * (x + t) + cs * (x + t) / pe * br.brx_q1
+                + ct * (x - s) / pe * br.brx_q)
     om = ((x - s) * (x + t) * (x + Y - eb.n - eb.a - eb.b - 1.0)
           - cs * (x + t) / pe * (rp * (X - x) * q1[0] + (Y + x) * (X - s) * q1[1]
                                  + rm * (Y + x) * q1[2])
@@ -244,12 +221,11 @@ def pairwise_trace_residuals(state_or_eb, bundle: LaxBundle | None = None) -> di
     return out
 
 
-def d_from_a_check(x, state: BopsState, bundle: LaxBundle | None = None) -> float:
+def d_from_a_check(x, state: BopsState) -> float:
     """Residual of the exchange identity tying the Q-side spectral matrix
     D_n(-x) to the G-conjugated A_n(x) plus trace and constant corrections."""
     eb = _as_bundle(state)
-    if bundle is None:
-        bundle = build_lax(eb)
+    bundle = build_lax(eb)
     qb = q_side_lax(eb)
     s, t, a, b = eb.s, eb.t, eb.a, eb.b
     n = eb.n
@@ -272,9 +248,11 @@ def d_from_a_check(x, state: BopsState, bundle: LaxBundle | None = None) -> floa
     return float(np.abs(dx - rhs).max() / scale)
 
 
-def spectral_ode_residual(state: BopsState, x, h: float = 1e-6) -> float:
-    """x(x-s)(x+t) dP/dx vs the spectral polynomials, by central differences."""
+def spectral_ode_residual(state: BopsState, x) -> float:
+    """x(x-s)(x+t) dP/dx vs the spectral polynomials, by central differences
+    of step 1e-6."""
     eb = _as_bundle(state)
+    h = 1e-6
     thp, thm, om = spectral_polys(eb, x)
     polys = [state.p_polys[2], state.p_polys[1], state.p_polys[0]]
     dpn = (polys[1](x + h) - polys[1](x - h)) / (2 * h)
@@ -283,18 +261,19 @@ def spectral_ode_residual(state: BopsState, x, h: float = 1e-6) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def schlesinger_residuals(p, d, n: int, fd_step: float = 1e-3) -> dict:
+def schlesinger_residuals(p, d, n: int) -> dict:
     """Finite-difference vs commutator residuals of every displayed
     compatibility equation; Richardson-refined central differences.
 
-    The default step balances the h^2 truncation against the quadrature-level
-    noise of rebuilt bundles (which grows like 1/h below ~1e-3).
+    The relative step 1e-3 balances the h^2 truncation against the
+    quadrature-level noise of rebuilt bundles (which grows like 1/h below
+    ~1e-3).
     """
     from .params import DeformPoint
 
     s, t = d.s, d.t
-    h = fd_step * max(1.0, abs(s))
-    ht = fd_step * max(1.0, abs(t))
+    h = 1e-3 * max(1.0, abs(s))
+    ht = 1e-3 * max(1.0, abs(t))
 
     def bb(ss, tt):
         return build_lax(eval_bundle(build_state(p, DeformPoint(ss, tt), n)))

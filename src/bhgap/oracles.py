@@ -87,10 +87,10 @@ def _deform_factor(nodes: np.ndarray, cut: float, gen: complex) -> np.ndarray:
     return 1.0 - gen * (nodes > cut)
 
 
-def quad_bimoment(j: int, k: int, p: ModelParams, d: DeformPoint,
-                  pts: int = 24, max_doublings: int = 3) -> OracleEstimate:
+def quad_bimoment(j: int, k: int, p: ModelParams, d: DeformPoint) -> OracleEstimate:
     """Deformed bi-moment by tensor panel quadrature of the defining integral,
-    panels split exactly at the cutoffs; refined until two levels agree."""
+    panels split exactly at the cutoffs; the 24 points per panel are doubled
+    up to three times, until two levels agree."""
     A, B = p.a + j, p.b + k
     if not (A > -1 and B > -1 and A + B + 1 > 0):
         raise DomainError(f"non-integrable bi-moment exponents ({A}, {B})")
@@ -105,10 +105,9 @@ def quad_bimoment(j: int, k: int, p: ModelParams, d: DeformPoint,
         ker = 1.0 / (x[:, None] + y[None, :])
         return wx @ ker @ wy
 
-    prev = level(pts)
-    err = math.inf
-    for i in range(1, max_doublings + 1):
-        cur = level(pts * 2 ** i)
+    prev = level(24)
+    for i in range(1, 4):
+        cur = level(24 * 2 ** i)
         err = abs(cur - prev)
         prev = cur
         if err <= 1e-10 * max(abs(cur), 1e-300):
@@ -124,8 +123,7 @@ def _cl2m_norm_quad_m1(a: float, b: float) -> float:
     return math.gamma(a + 1) * math.gamma(b + 1) / (a + b + 1)
 
 
-def quad_gap_small_m(p: ModelParams, d: DeformPoint, ensemble: str = "cl2m",
-                     pts: int = 24) -> OracleEstimate:
+def quad_gap_small_m(p: ModelParams, d: DeformPoint, ensemble: str = "cl2m") -> OracleEstimate:
     """Direct quadrature of the gap generating function.
 
     cl2m: m = 1 (2D) or m = 2 (4D tensor); bhft: fixed-trace m <= 2 with the
@@ -134,15 +132,15 @@ def quad_gap_small_m(p: ModelParams, d: DeformPoint, ensemble: str = "cl2m",
     if ensemble == "bhft":
         return _quad_bhft(p, d)
     if p.m == 1:
-        num = quad_bimoment(0, 0, p, d, pts=pts)
+        num = quad_bimoment(0, 0, p, d)
         return OracleEstimate(num.value / _cl2m_norm_quad_m1(p.a, p.b), 0.0, 0)
     if p.m == 2:
-        return _quad_cl2m_m2(p, d, pts)
+        return _quad_cl2m_m2(p, d)
     raise DomainError(f"quadrature oracle limited to m <= 2, got m={p.m}")
 
 
-def _quad_cl2m_m2(p: ModelParams, d: DeformPoint, pts: int) -> OracleEstimate:
-    """m = 2 gap integral on a tensor grid.
+def _quad_cl2m_m2(p: ModelParams, d: DeformPoint) -> OracleEstimate:
+    """m = 2 gap integral on a tensor grid of 144-point panels.
 
     The y-pair sum collapses analytically: for u_i(y) = w(y)/(x_i + y),
     sum_{ab} (y_a - y_b)^2 u1_a u2_a u1_b u2_b = 2 (S0 S2 - S1^2) with the
@@ -190,7 +188,7 @@ def _quad_cl2m_m2(p: ModelParams, d: DeformPoint, pts: int) -> OracleEstimate:
                               limit=200, full_output=1)[0]
         return tot
 
-    val = level(pts * 6)
+    val = level(144)
     c = _cl2m_norm(p.m, p.a, p.b)
     # val is the full ordered 4D integral; the density carries 1/(m!)^2 = 1/4
     return OracleEstimate(val / (4.0 * c), 0.0, 0)
@@ -244,19 +242,20 @@ def _bhft_norm(m, a):
 
 
 def mc_gap(p: ModelParams, d: DeformPoint, n_samples: int = 10 ** 6,
-           seed: int = 12345, batches: int = 100) -> OracleEstimate:
+           seed: int = 12345) -> OracleEstimate:
     """Importance-sampling Monte Carlo for the gap generating function.
 
     Draws x ~ Gamma(a+1), y ~ Gamma(b+1) i.i.d., weights by the squared
     Vandermondes over the Cauchy product (nonnegative on the orthant), and
     returns the ratio estimator deformed/undeformed with a jackknife standard
-    error over batches.  Philox keyed on the seed makes runs reproducible.
+    error over 100 batches.  Philox keyed on the seed makes runs reproducible.
     A PrecisionWarning flags fewer than 100 effective samples, (sum w)^2 /
     sum w^2 over all weights.
     """
     if p.m > 4:
         raise DomainError("Monte Carlo oracle supports m <= 4")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    batches = 100
     m = p.m
     per = max(n_samples // batches, 1)
     num_b = np.empty(batches)

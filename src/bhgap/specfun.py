@@ -43,8 +43,8 @@ class SpecFunResult:
             raise DomainError("error estimate must be finite and >= 0")
 
 
-def _is_nonpos_int(a: float, tol: float = 1e-12) -> bool:
-    return a <= tol and abs(a - round(a)) < tol
+def _is_nonpos_int(a: float) -> bool:
+    return a <= 1e-12 and abs(a - round(a)) < 1e-12
 
 
 def gamma(a: float) -> float:

@@ -228,3 +228,23 @@ def test_flow_route_matches_determinant():
     want = z_cl2m(p, d).value
     assert abs(got - want) <= 1e-6 * max(abs(want), 1e-6)
     assert z_cl2m_flow(p, d).route is Route.FLOW
+
+
+# (m, s, t) -> (value, est_error) at a = 0.3, b = 0.7, xi = 1, psi = 0.6,
+# flowed from (1, 1).  The two m = 4 targets sit where the flow misses z_cl2m
+# by 0.87 and 0.99 of the benchmark's 1e-8 tolerance, so a reordered
+# floating-point expression in the flow, Lax or kernel layers shows here
+FLOW_GOLDEN = {
+    (2, 3.4, 0.6): (0.28177313666131537, 2.8177313666131537e-09),
+    (3, 2.5, 3.3): (0.08410760933951907, 8.410760933951906e-10),
+    (4, 2.183616934054415, 1.1926985565215407): (0.0005920193429140178, 5.920193429140178e-12),
+    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654470850916, 7.194654470850916e-12),
+    (5, 2.3, 1.1): (3.3600614754827443e-06, 3.3600614754827445e-14),
+}
+
+
+@pytest.mark.parametrize("key", list(FLOW_GOLDEN))
+def test_z_cl2m_flow_golden_values(key):
+    m, s, t = key
+    r = z_cl2m_flow(ModelParams(m, 0.3, 0.7, 1.0, 0.6), DeformPoint(s, t))
+    assert (r.value, r.est_error) == FLOW_GOLDEN[key]

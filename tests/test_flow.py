@@ -40,7 +40,7 @@ def fd_vector(p, d, n, which, h=1e-5):
 def test_rhs_matches_moment_route_fd(which):
     p = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
     fs = from_moments(p, D, 2)
-    rhs = rhs_total_s(fs, p) if which == "s" else rhs_total_t(fs, p)
+    rhs = rhs_total_s(fs) if which == "s" else rhs_total_t(fs)
     num = fd_vector(p, D, 2, which)
     scale = np.maximum(np.abs(rhs), 1.0)
     assert np.max(np.abs(num - rhs) / scale) <= 1e-5
@@ -49,12 +49,12 @@ def test_rhs_matches_moment_route_fd(which):
 def test_rhs_deformation_off_structure():
     p0 = ModelParams(m=2, a=0.3, b=0.7, xi=0.0, psi=0.0)
     fs = from_moments(p0, D, 2)
-    rhs = rhs_total_s(fs, p0)
+    rhs = rhs_total_s(fs)
     # all xi/psi-prefactored couplings vanish; only the spectral parts of the
     # s-locked evaluations P(s) and Q1(-s) survive
     assert np.all(rhs[np.r_[3:9, 12:24]] == 0.0)
     assert np.any(rhs[0:3] != 0.0) and np.any(rhs[9:12] != 0.0)
-    rhs_t = rhs_total_t(fs, p0)
+    rhs_t = rhs_total_t(fs)
     assert np.all(rhs_t[np.r_[0:3, 9:24]] == 0.0)
     assert np.any(rhs_t[3:6] != 0.0) and np.any(rhs_t[6:9] != 0.0)
 
@@ -63,12 +63,12 @@ def test_rhs_deformation_off_structure():
 def test_constraints_on_fresh_states(n):
     for d in (D, DeformPoint(0.8, 1.2), DeformPoint(1.5, 0.8), DeformPoint(0.7, 0.7)):
         fs = from_moments(P, d, n)
-        res = np.abs(constraint_residuals(fs, P))
+        res = np.abs(constraint_residuals(fs))
         assert res.max() <= 1e-9, (n, d, res)
     # extreme aspect ratios sit near the seed-sensitivity floor but stay small
     for d in (DeformPoint(0.5, 2.0), DeformPoint(2.0, 0.5)):
         fs = from_moments(P, d, n)
-        assert np.abs(constraint_residuals(fs, P)).max() <= 5e-9
+        assert np.abs(constraint_residuals(fs)).max() <= 5e-9
 
 
 def test_constraints_xi_zero_reduction():
@@ -81,7 +81,7 @@ def test_constraints_xi_zero_reduction():
 
 def test_constraint_system_rank_three():
     fs = from_moments(P, D, 2)
-    A, rhs = constraint_linear_system(fs, P)
+    A, rhs = constraint_linear_system(fs)
     sv = np.linalg.svd(A, compute_uv=False)
     assert sv[2] > 1e-6 * sv[0]
     assert sv[3] <= 1e-9 * sv[0]
@@ -94,12 +94,12 @@ def test_constraint_system_rank_three():
 def test_rhs_decomposition_consistency():
     for n in (1, 2):
         fs = from_moments(P, D, n)
-        assert rhs_decomposition_residual(fs, P) <= 1e-8
+        assert rhs_decomposition_residual(fs) <= 1e-8
 
 
 def test_zero_length_path_identity():
     fs = from_moments(P, D, 2)
-    traj = integrate(fs, P, [(D.s, D.t), (D.s, D.t)], tol=1e-8)
+    traj = integrate(fs, [(D.s, D.t), (D.s, D.t)], tol=1e-8)
     assert len(traj) == 1
     assert traj[0] is fs
 
@@ -107,7 +107,7 @@ def test_zero_length_path_identity():
 def test_flow_endpoint_matches_moment_route():
     n = 2
     fs0 = from_moments(P, D, n)
-    traj = integrate(fs0, P, [(1.0, 1.0), (2.0, 1.0)], tol=1e-9)
+    traj = integrate(fs0, [(1.0, 1.0), (2.0, 1.0)], tol=1e-9)
     end = traj[-1]
     ref = from_moments(P, DeformPoint(2.0, 1.0), n)
     got, want = end.vector(), ref.vector()
@@ -122,7 +122,7 @@ def test_flow_endpoint_matches_moment_route():
 def test_flow_t_direction_and_projection_mode():
     n = 1
     fs0 = from_moments(P, D, n)
-    traj = integrate(fs0, P, [(1.0, 1.0), (1.0, 1.8)], tol=1e-9, project=True)
+    traj = integrate(fs0, [(1.0, 1.0), (1.0, 1.8)], tol=1e-9, project=True)
     ref = from_moments(P, DeformPoint(1.0, 1.8), n)
     got, want = traj[-1].vector(), ref.vector()
     scale = np.maximum(np.abs(want), 1.0)
@@ -131,10 +131,10 @@ def test_flow_t_direction_and_projection_mode():
 
 def test_constraint_conservation_along_flow():
     fs0 = from_moments(P, D, 2)
-    init = np.abs(constraint_residuals(fs0, P)).max()
-    traj = integrate(fs0, P, [(1.0, 1.0), (1.6, 1.3)], tol=1e-8)
+    init = np.abs(constraint_residuals(fs0)).max()
+    traj = integrate(fs0, [(1.0, 1.0), (1.6, 1.3)], tol=1e-8)
     for fs in traj[1:]:
-        res = np.abs(constraint_residuals(fs, P)).max()
+        res = np.abs(constraint_residuals(fs)).max()
         assert res <= max(10 * init, 1e-7)
 
 
@@ -143,7 +143,7 @@ def test_bad_initial_state_aborts():
     eb = fs.bundle.copy()
     eb.X += 0.01
     with pytest.raises(FlowAbort):
-        integrate(FlowState(eb, fs.logZ), P, [(1.0, 1.0), (1.2, 1.0)])
+        integrate(FlowState(eb, fs.logZ), [(1.0, 1.0), (1.2, 1.0)])
 
 
 def test_nan_initial_state_aborts():
@@ -151,35 +151,61 @@ def test_nan_initial_state_aborts():
     eb = fs.bundle.copy()
     eb.X = math.nan
     with pytest.raises(FlowAbort):
-        integrate(FlowState(eb, fs.logZ), P, [(1.0, 1.0), (1.2, 1.0)])
+        integrate(FlowState(eb, fs.logZ), [(1.0, 1.0), (1.2, 1.0)])
 
 
 @pytest.mark.parametrize("d", [DeformPoint(INF, 2.0), DeformPoint(2.0, INF)])
 def test_constraints_finite_at_infinite_cutoff(d):
-    assert np.all(np.isfinite(constraint_residuals(from_moments(P, d, 2), P)))
+    assert np.all(np.isfinite(constraint_residuals(from_moments(P, d, 2))))
 
 
 @pytest.mark.parametrize("d", [DeformPoint(INF, 2.0), DeformPoint(2.0, INF)])
 def test_constraint_system_finite_at_infinite_cutoff(d):
     p = ModelParams(m=2, a=0.3, b=0.7, xi=1.0, psi=0.6)
     fs = from_moments(p, d, 2)
-    A, rhs = constraint_linear_system(fs, p)
+    A, rhs = constraint_linear_system(fs)
     assert np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))
-    assert np.all(np.isfinite(project_constraints(fs, p).vector()))
+    assert np.all(np.isfinite(project_constraints(fs).vector()))
 
 
 def test_constraint_system_rhs_at_finite_cutoff():
     # recorded before the infinite-cutoff guard; a finite cutoff is untouched
     p = ModelParams(m=2, a=0.3, b=0.7, xi=1.0, psi=0.6)
-    _, rhs = constraint_linear_system(from_moments(p, DeformPoint(2.0, 1.5), 2), p)
+    _, rhs = constraint_linear_system(from_moments(p, DeformPoint(2.0, 1.5), 2))
     assert rhs.tolist() == [-0.0014865198686759389, 2.0689670716870117,
                             1.1963447417006219, -0.6173394391189907]
+
+
+@pytest.mark.parametrize("rhs, d_inf, d_far, at_inf", [
+    (rhs_total_t, DeformPoint(INF, 2.0), DeformPoint(42.0, 2.0), np.r_[0:3, 9:12]),
+    (rhs_total_s, DeformPoint(2.0, INF), DeformPoint(2.0, 42.0), np.r_[3:9]),
+], ids=["t-flow", "s-flow"])
+def test_rhs_at_the_other_infinite_cutoff(rhs, d_inf, d_far, at_inf):
+    # finite, and the limit of the same right-hand side at a far cutoff, except
+    # on the boundary values that sit at the infinite cutoff (zero there)
+    p = ModelParams(m=2, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    cut = max(d_far.s, d_far.t)
+    assert cut ** 1.7 * math.exp(-cut) < 1e-15  # both weights times the cutoff
+    got = rhs(from_moments(p, d_inf, 2))
+    want = rhs(from_moments(p, d_far, 2))
+    assert np.all(np.isfinite(got))
+    assert np.all(got[at_inf] == 0.0)
+    rest = np.setdiff1d(np.arange(24), at_inf)
+    assert np.max(np.abs(got[rest] - want[rest]) / np.maximum(np.abs(got[rest]), 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("rhs, d", [(rhs_total_s, DeformPoint(INF, 2.0)),
+                                    (rhs_total_t, DeformPoint(2.0, INF))],
+                         ids=["s-flow", "t-flow"])
+def test_rhs_raises_at_its_own_infinite_cutoff(rhs, d):
+    with pytest.raises(DomainError):
+        rhs(from_moments(P, d, 2))
 
 
 def test_infinite_path_segment_rejected():
     fs = from_moments(P, DeformPoint(INF, 2.0), 2)
     with pytest.raises(DomainError):
-        integrate(fs, P, [(INF, 2.0), (INF, 2.5)])
+        integrate(fs, [(INF, 2.0), (INF, 2.5)])
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -207,9 +233,9 @@ def test_projection_repairs_neighbor_perturbation():
     eb = fs.bundle.copy()
     eb.piv = eb.piv * np.array([1 + 1e-6, 1.0, 1 - 2e-6])
     eb.etav = eb.etav * np.array([1 - 1e-6, 1.0, 1 + 1e-6])
-    fsp = project_constraints(FlowState(eb, fs.logZ), P)
-    before = np.abs(constraint_residuals(FlowState(eb, fs.logZ), P))[2:6].max()
-    after = np.abs(constraint_residuals(fsp, P))[2:6].max()
+    fsp = project_constraints(FlowState(eb, fs.logZ))
+    before = np.abs(constraint_residuals(FlowState(eb, fs.logZ)))[2:6].max()
+    after = np.abs(constraint_residuals(fsp))[2:6].max()
     assert after <= 1e-3 * before
 
 
@@ -224,6 +250,6 @@ def test_g_derivative_check(params):
 
 def test_trajectory_table_shape():
     fs0 = from_moments(P, D, 1)
-    traj = integrate(fs0, P, [(1.0, 1.0), (1.2, 1.0)], tol=1e-8)
-    table = trajectory_table(traj, P)
+    traj = integrate(fs0, [(1.0, 1.0), (1.2, 1.0)], tol=1e-8)
+    table = trajectory_table(traj)
     assert table.shape[1] == 2 + 24 + 8

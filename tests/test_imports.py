@@ -1,6 +1,7 @@
 """Every name a bhgap module imports is used in that module, every
-private helper it defines is used somewhere in the package, and every
-attribute the benchmark tracer wraps exists."""
+private helper it defines is used somewhere in the package, every
+parameter is read by its function, and every attribute the benchmark
+tracer wraps exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -58,6 +59,29 @@ def test_no_dead_private_helpers():
             if is_private_def(node)
             and not any(node.name in r for j, r in enumerate(refs) if j != i)]
     assert dead == []
+
+
+def unused_parameters(path: Path) -> list[str]:
+    """Parameters of the functions, methods and lambdas in one module that
+    their own body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}:{prm}" for prm in params if prm not in read]
+    return out
+
+
+def test_no_unused_parameters():
+    # a parameter that is accepted and then ignored misleads its callers
+    offenders = {p.name: unused_parameters(p) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
 
 
 def tracer_tables() -> dict:
