@@ -2,12 +2,17 @@
 (one-species ensemble), deformation flow, and fixed-trace Laplace inversion.
 
 The Pfaffian sign is that of the undeformed limit, (-1)^(m(m-1)/2) in closed
-form, never a printed sign convention.  The fixed-trace inversion runs
-fixed-Talbot per generating-variable coefficient: the transform is entire
-with exponential type k*t in the k-th coefficient, so each coefficient is
-inverted at the shifted time 1 - k*t where its Bromwich integrand decays
-(coefficients with k*t >= 1 contribute exactly zero at unit trace).  All contour evaluations
-use exponentially rescaled matrix elements, so no large exponentials appear.
+form, never a printed sign convention.  The fixed-trace inversion expands the
+transform in the generating variable: the k-th coefficient is entire with
+exponential type k*t, so it is inverted at the shifted time 1 - k*t where its
+Bromwich integrand decays (coefficients with k*t >= 1 contribute exactly zero
+at unit trace).  Every shifted time shares one hyperbolic contour
+(Weideman & Trefethen, Math. Comp. 76, 2007), so a node's coefficient solve
+serves every coefficient.  The value comes from one hyperbola V, and its
+error evidence from a second, independent hyperbola E at the same node
+count; both step up in node count while they disagree.  All contour
+evaluations use exponentially rescaled matrix elements, so no large
+exponentials appear.
 """
 from __future__ import annotations
 
@@ -163,7 +168,7 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
 
     The flow starts from a moment-route seed at (s, t) = (1, 1) and runs
     along the straight path to d at tolerance 1e-9; est_error is 1e-8 of
-    the value."""
+    the value.  xi and psi must be real (DomainError otherwise)."""
     from . import flow as _flow
 
     tol = 1e-9
@@ -175,7 +180,7 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
 
 
 # ---------------------------------------------------------------------------
-# fixed-trace route (Talbot)
+# fixed-trace route (shared hyperbolic contour)
 # ---------------------------------------------------------------------------
 
 def _pf_poly_values(m: int, a: float, z: complex, us: np.ndarray) -> np.ndarray:
@@ -205,28 +210,49 @@ def _xi_coefficients(m: int, a: float, z: complex) -> np.ndarray:
     return np.linalg.solve(vand, vals)
 
 
-def _talbot_sum(f, r: float, nodes: int) -> float:
-    rv = 2.0 * nodes / (5.0 * r)
-    tot = 0.5 * complex(f(complex(rv, 0.0))).real * math.exp(rv * r)
-    for k in range(1, nodes):
-        th = math.pi * k / nodes
-        cot = math.cos(th) / math.sin(th)
-        sk = rv * th * complex(cot, 1.0)
-        sig = th + (th * cot - 1.0) * cot
-        tot += (cmath.exp(r * sk) * f(sk) * complex(1.0, sig)).real
-    return rv / nodes * tot
+# (alpha, mu/N, h*N) of the two hyperbolas s(u) = mu (1 + sin(iu - alpha)) at
+# N + 1 nodes u_j = j h: the value contour V and the estimate contour E.  Both
+# parameters differ between the families, and mu grows with N, so a call at
+# another node count (such as the benchmark's nodes=40 reference) evaluates
+# neither contour of the default call
+_VALUE_CONTOUR = (0.75, 1.0, 2.6)
+_ESTIMATE_CONTOUR = (0.8, 1.1, 2.5)
+
+
+def _talbot_sum(transforms, rs: np.ndarray, contour, nodes: int) -> np.ndarray:
+    """Inverse Laplace transforms at the times rs of the coefficient
+    transforms F_k(s) = transforms(s)[k], all from one trapezoid rule on the
+    hyperbola s(u) = mu (1 + sin(iu - alpha)) (Weideman & Trefethen, Math.
+    Comp. 76, 2007): f_k(r_k) = (h/pi) Im sum_j' e^(s_j r_k) F_k(s_j) s'(u_j),
+    j = 0..nodes, half weight at j = 0; the lower half of the contour is the
+    conjugate of the upper.  Each node evaluates transforms once for every
+    coefficient.  The name is kept from the fixed-Talbot rule this replaced:
+    `perfbench/tracer.py` counts contour sums under it."""
+    alpha, mu_per_node, h_nodes = contour
+    mu, h = mu_per_node * nodes, h_nodes / nodes
+    tot = np.zeros(len(rs), dtype=complex)
+    for j in range(nodes + 1):
+        w = complex(-alpha, j * h)
+        s = mu * (1.0 + cmath.sin(w))
+        term = transforms(s) * (1j * mu * cmath.cos(w)) * np.exp(s * rs)
+        tot += 0.5 * term if j == 0 else term
+    return h / math.pi * tot.imag
 
 
 def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32) -> GapResult:
-    """Fixed-trace gap generating function at unit trace by per-coefficient
-    fixed-Talbot inversion.
+    """Fixed-trace gap generating function at unit trace by Laplace inversion
+    on one hyperbolic contour shared by every generating-variable coefficient.
 
-    The k-th generating-variable coefficient is inverted at the shifted time
-    1 - k*t (zero contribution when k*t >= 1).  Refinement steps the node
-    count in small increments rather than doubling, until two node counts
-    agree to 1e-6: fixed Talbot loses about 0.43*M digits to the e^(2M/5)
-    endpoint factor in binary64, so beyond ~48 nodes more nodes only amplify
-    roundoff.
+    The k-th coefficient is inverted at the shifted time 1 - k*t (zero
+    contribution when k*t >= 1); one node's coefficient solve serves every
+    active k.  The value comes from the contour V at `nodes` + 1 nodes, and
+    est_error is its distance to an independent contour E at the same node
+    count, summed over the coefficients.  While that distance exceeds 1e-6
+    max(1, |value|) both contours step up by 8 nodes, at most twice; past
+    that the result warns, and a distance above 10 max(1, |value|) raises
+    ContourError.  mu grows with the node count, and with it the roundoff
+    of e^(s_0 r) at the contour's nearest point s_0 = mu (1 - sin alpha), so
+    in binary64 more nodes stop helping; m >= 5 is not resolved.
     """
     rtol = 1e-6
     tt = t if t is not None else 1.0
@@ -238,39 +264,24 @@ def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32) -> GapResult
     scale = c_ubh / (math.exp(log_gamma(m + 1.0)) * c_bhft)
     pref = math.exp(log_gamma(m + 1.0)) / c_ubh
     sgn = _pf_sign(m)
+    n_active = sum(1 for k in range(m + 1) if 1.0 - k * tt > 1e-9)
+    rs = 1.0 - tt * np.arange(n_active)
 
-    def coeff_transform(schain: complex, k: int) -> complex:
-        z = schain * tt
-        ck = _xi_coefficients(m, a, z)[k]
-        return sgn * pref * ck * schain ** (-kappa)
+    def transforms(s: complex) -> np.ndarray:
+        return sgn * pref * _xi_coefficients(m, a, s * tt)[:n_active] * s ** (-kappa)
 
-    ladder = sorted({max(nodes - 8, 16), nodes, nodes + 8, nodes + 16})
-    total = 0.0
-    est = 0.0
-    for k in range(m + 1):
-        reff = 1.0 - k * tt
-        if reff <= 1e-9:
-            continue
-        vals = [_talbot_sum(lambda sc: coeff_transform(sc, k), reff, nn)
-                for nn in ladder[:2]]
-        delta = abs(vals[-1] - vals[-2])
-        for nn in ladder[2:]:
-            if delta <= rtol * max(1.0, abs(vals[-1])):
-                break
-            vals.append(_talbot_sum(lambda sc: coeff_transform(sc, k), reff, nn))
-            delta = abs(vals[-1] - vals[-2])
-        if delta > 10.0 * max(1.0, abs(vals[-1])):
-            raise ContourError(
-                f"Talbot inversion diverging for coefficient {k}"
-                f" (node-to-node change {delta:.2e})")
-        if delta > rtol * max(1.0, abs(vals[-1])):
-            warnings.warn(
-                f"Talbot coefficient {k} stalled at {delta:.2e}", PrecisionWarning)
-        cur = vals[-1]
-        total += (xi ** k * cur).real if isinstance(xi, complex) else (xi ** k) * cur
-        est += abs(delta)
-    val = scale * total
-    est = scale * est + 1e-12
+    w = xi ** np.arange(n_active)
+    for nn in (nodes, nodes + 8, nodes + 16):
+        vals = _talbot_sum(transforms, rs, _VALUE_CONTOUR, nn)
+        dist = scale * float(np.abs(vals - _talbot_sum(transforms, rs, _ESTIMATE_CONTOUR, nn)).sum())
+        val = scale * complex(w @ vals).real
+        if dist <= rtol * max(1.0, abs(val)):
+            break
+    if dist > 10.0 * max(1.0, abs(val)):
+        raise ContourError(f"contour inversion diverging (value-to-estimate distance {dist:.2e})")
+    if dist > rtol * max(1.0, abs(val)):
+        warnings.warn(f"contour inversion stalled at {dist:.2e}", PrecisionWarning)
+    est = dist + 1e-12
     if val < -est:
         warnings.warn(f"z_bhft value {val:.3e} is negative beyond its estimated error"
                       f" {est:.2e}", PrecisionWarning)

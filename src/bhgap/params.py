@@ -31,7 +31,7 @@ class PrecisionWarning(UserWarning):
 
 
 class ContourError(RuntimeError):
-    """Laplace-inversion contour shows node-to-node divergence."""
+    """Laplace-inversion contours diverge from each other."""
 
 
 @dataclass(frozen=True)

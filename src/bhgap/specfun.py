@@ -198,9 +198,9 @@ def _gup_quad_scaled(a: float, z: complex) -> tuple[complex, float]:
     val = 0j
     err = 0.0
     for lo, up in zip(pts[:-1], pts[1:]):
-        re, ere = quad(lambda x: f(x).real, lo, up, epsabs=1e-14, epsrel=1e-12, limit=300,
+        re, ere = quad(lambda x: f(x).real, lo, up, epsabs=0.0, epsrel=1e-12, limit=300,
                        full_output=1)[:2]
-        im, eim = quad(lambda x: f(x).imag, lo, up, epsabs=1e-14, epsrel=1e-12, limit=300,
+        im, eim = quad(lambda x: f(x).imag, lo, up, epsabs=0.0, epsrel=1e-12, limit=300,
                        full_output=1)[:2]
         val += re + 1j * im
         err += ere + eim

@@ -1,3 +1,4 @@
+import cmath
 import math
 from collections import Counter
 
@@ -228,14 +229,22 @@ def test_laplace_caches_hold_at_most_one_node(monkeypatch):
 
 
 def talbot_nodes(m, a, t, nodes=32):
-    """The contour nodes z = s t of z_bhft's coefficient k = 1 at nodes
-    points: the path of `ensembles._talbot_sum` at r = 1 - t."""
+    """The fixed-Talbot nodes z = s t that z_bhft's coefficient k = 1 used at
+    nodes points, at r = 1 - t, before the route moved to one hyperbola."""
     rv = 2.0 * nodes / (5.0 * (1.0 - t))
     out = [complex(rv, 0.0) * t]
     for i in range(1, nodes):
         th = math.pi * i / nodes
         out.append(rv * th * complex(math.cos(th) / math.sin(th), 1.0) * t)
     return out
+
+
+def hyperbola_nodes(contour, t, nodes=32):
+    """The nodes z = s_j t, j = 0..nodes, of one of z_bhft's hyperbolas;
+    j = 0 is the point nearest the origin, s_0 t."""
+    alpha, mu_per_node, h_nodes = contour
+    mu, h = mu_per_node * nodes, h_nodes / nodes
+    return [mu * (1.0 + cmath.sin(complex(-alpha, j * h))) * t for j in range(nodes + 1)]
 
 
 def mp_ladders(m, a, z):
@@ -258,6 +267,11 @@ def mp_ladders(m, a, z):
 LADDER_NODES = [  # (m, a, z): nodes of fixed-trace contours and two fixed points
     *[(m, a, z) for m, a, t in [(2, 0.1, 0.46), (4, 0.9, 0.26), (8, 0.5, 0.1)]
       for z in talbot_nodes(m, a, t)[::4]],
+    # every fourth node of the value and estimate hyperbolas, from s_0 t out
+    # to |z| ~ 200 (m = 2, t = 0.86) and close to the origin (m = 4, t = 0.26)
+    *[(m, a, z) for m, a, t in [(2, 0.1, 0.86), (4, 0.9, 0.26)]
+      for contour in (ensembles._VALUE_CONTOUR, ensembles._ESTIMATE_CONTOUR)
+      for z in hyperbola_nodes(contour, t)[::4]],
     (12, 0.1, complex(0.7, 0.2)),
     (12, -0.5, complex(-1.0, 2.5)),
 ]

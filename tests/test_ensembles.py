@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bhgap import dd
+from bhgap import dd, ensembles
 from bhgap.ensembles import (
     Route,
     _pf_sign,
@@ -190,17 +190,18 @@ def test_z_bhft_m3_saturation():
     assert abs(z_bhft(p, 1.2).value - 1.0) <= 1e-6
 
 
-# (m, a, xi, t) -> (value, est_error), recorded from the order-recurrence
-# node ladders; m = 3 has a border.  Each value lies within the previous
-# recording's est_error of a 30-digit mpmath evaluation of the same
-# discretization (nodes and node counts, special functions, Pfaffian,
-# Vandermonde solve and Talbot sum all in mpmath)
+# (m, a, xi, t) -> (value, est_error), recorded on the shared hyperbolic
+# contour; m = 3 has a border.  Each value lies within its est_error of a
+# 30-digit mpmath evaluation of the same discretization (value contour at
+# 33 nodes, special functions, Pfaffian, Vandermonde solve and trapezoid
+# sum all in mpmath), and m = 1, 2 also of the exact plateau and the
+# simplex oracle
 BHFT_GOLDEN = {
-    (1, 0.5, 0.6, 0.3): (0.40000000000606306, 8.739432423394135e-12),
-    (2, 0.1, 0.6, 0.46): (0.3998611457494316, 8.366457276970999e-12),
-    (3, 0.5, 0.7, 0.31): (0.2589625322893516, 5.3321295675163354e-12),
-    (4, 0.9, 0.8, 0.6): (0.6032421843273504, 1.4154388190791522e-10),
-    (4, 0.9, 0.8, 0.26): (0.11018942958535996, 6.473646995659515e-11),
+    (1, 0.5, 0.6, 0.3): (0.40000000000022595, 1.503761683292372e-12),
+    (2, 0.1, 0.6, 0.46): (0.3998611457476172, 1.660943560092892e-12),
+    (3, 0.5, 0.7, 0.31): (0.2589625322875236, 1.1633878171278208e-12),
+    (4, 0.9, 0.8, 0.6): (0.6032421842945895, 3.5363493065737154e-10),
+    (4, 0.9, 0.8, 0.26): (0.11018942970364616, 1.6715230078481525e-09),
 }
 
 
@@ -213,11 +214,66 @@ def test_z_bhft_golden_values(key):
     assert (r.value, r.est_error) == BHFT_GOLDEN[key]
 
 
+@pytest.mark.parametrize("m, a, xi, t", [
+    (1, -0.4, 0.6, 0.7), (2, 0.1, 0.6, 0.26), (2, 0.5, 1.0, 0.55), (2, 0.9, 0.8, 0.86),
+])
+def test_z_bhft_small_m_vs_simplex_quadrature_tight(m, a, xi, t):
+    p = ModelParams(m=m, a=a, xi=xi)
+    got = z_bhft(p, t).value
+    want = quad_gap_small_m(p, DeformPoint(t, t), ensemble="bhft").value
+    assert abs(got - want) <= 1e-10
+
+
+def _record_nodes(monkeypatch):
+    """Count the coefficient solves of z_bhft and record their nodes."""
+    zs = []
+
+    def recorded(m, a, z):
+        zs.append(z)
+        return _xi_coefficients(m, a, z)
+
+    monkeypatch.setattr(ensembles, "_xi_coefficients", recorded)
+    return zs
+
+
+def test_z_bhft_one_solve_per_node(monkeypatch):
+    # every active coefficient reads the same node: one solve per node of
+    # the value and estimate contours, 2 (N + 1) for a first-rung result
+    zs = _record_nodes(monkeypatch)
+    r = z_bhft(ModelParams(3, 0.5, 0.0, 0.7, 0.0), 0.26)
+    assert r.est_error <= 1e-6
+    assert len(zs) <= 2 * (32 + 1)
+
+
+def test_z_bhft_default_and_nodes40_share_no_node(monkeypatch):
+    # nodes=40 is the benchmark's reference for m >= 3: it must evaluate
+    # neither of the default call's contours
+    zs = _record_nodes(monkeypatch)
+    p = ModelParams(4, 0.9, 0.0, 0.8, 0.0)
+    z_bhft(p, 0.46)
+    default = set(zs)
+    zs.clear()
+    z_bhft(p, 0.46, nodes=40)
+    assert len(default) == 2 * (32 + 1)
+    assert not default & set(zs)
+
+
+def test_z_bhft_small_shifted_time():
+    # t = 0.332 leaves the last coefficient at r = 1 - 3t = 0.004, where its
+    # Bromwich integrand barely decays along the contour
+    p = ModelParams(3, 0.5, 0.0, 0.7, 0.0)
+    r = z_bhft(p, 0.332)
+    assert abs(r.value - z_bhft(p, 0.332, nodes=48).value) <= r.est_error
+
+
 def test_z_bhft_negative_value_warns():
-    # m = 6 is past what the binary64 coefficient solve resolves: the value
-    # lies below zero by more than its est_error, which may not pass quietly
-    with pytest.warns(PrecisionWarning, match="negative"):
+    # m = 6 is past what binary64 resolves on the contours: the value and
+    # estimate contours still disagree after both escalation steps, and the
+    # value lies below zero by more than its est_error; neither may pass quietly
+    with pytest.warns(PrecisionWarning) as record:
         r = z_bhft(ModelParams(6, 0.5, 0.0, 1.0, 0.0), 0.3)
+    messages = " ".join(str(w.message) for w in record)
+    assert "stalled" in messages and "negative" in messages
     assert r.value < -r.est_error
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from bhgap import bops
 from bhgap.bops import build_state, eval_bundle, zdet
-from bhgap.ensembles import normalizations, z_cl2m
+from bhgap.ensembles import normalizations, z_cl2m, z_cl2m_flow
 from bhgap.flow import (
     FlowAbort,
     FlowState,
@@ -206,6 +206,17 @@ def test_infinite_path_segment_rejected():
     fs = from_moments(P, DeformPoint(INF, 2.0), 2)
     with pytest.raises(DomainError):
         integrate(fs, [(INF, 2.0), (INF, 2.5)])
+
+
+@pytest.mark.parametrize("xi, psi", [(0.5 + 0.2j, 0.6), (1.0, 0.6 - 0.1j), (complex(1.0), 0.6)])
+def test_complex_deformation_rejected_up_front(xi, psi):
+    # the flow carries a real log Z: a complex xi or psi used to fail with a
+    # TypeError from math.log of the complex determinant
+    p = ModelParams(m=2, a=0.3, b=0.7, xi=xi, psi=psi)
+    with pytest.raises(DomainError, match="real xi and psi"):
+        from_moments(p, D, 2)
+    with pytest.raises(DomainError, match="real xi and psi"):
+        z_cl2m_flow(p, DeformPoint(1.5, 1.2))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])

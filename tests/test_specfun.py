@@ -117,6 +117,16 @@ def test_gamma_upper_scaled_quadrature_is_quiet():
     assert relerr(got.value, want) <= 1e-14
 
 
+@pytest.mark.parametrize("a, z", [(-4.9, complex(-224.0, 44.6)), (-6.5, complex(-569.0, 113.0))])
+def test_gamma_upper_scaled_tiny_values(a, z):
+    # far left of the Laplace contours e^z Gamma(a, z) is tiny; an absolute
+    # quadrature tolerance of 1e-14 left these 2.3e-6 and 1.0e-2 off
+    want = complex(mp.e ** mp.mpmathify(z) * mp.gammainc(mp.mpf(a), mp.mpmathify(z), mp.inf))
+    got = gamma_upper_scaled(a, z)
+    assert relerr(got.value, want) <= 1e-13
+    assert abs(got.value - want) <= got.est_abs_error
+
+
 @given(
     a=st.floats(-5.0, 15.0),
     z=st.floats(0.05, 60.0),
