@@ -483,6 +483,11 @@ class EvalBundle:
 
 
 def deformation_weights(eb: EvalBundle):
+    """(ws, wt, wS, wT) of ``cutoff_weights`` at the bundle's point."""
+    return cutoff_weights(eb.s, eb.t, eb.a, eb.b, eb.xi, eb.psi)
+
+
+def cutoff_weights(s, t, a, b, xi, psi):
     """(ws, wt, wS, wT): the deformation weights ws = xi s^a e^-s and
     wt = psi t^b e^-t at the cutoffs, and wS = s ws, wT = t wt.
 
@@ -490,12 +495,12 @@ def deformation_weights(eb: EvalBundle):
     vanishes and every term it multiplies drops out of the dynamics.
     """
     ws = wS = wt = wT = 0.0
-    if eb.s != INF:
-        ws = eb.xi * eb.s ** eb.a * math.exp(-eb.s)
-        wS = ws * eb.s
-    if eb.t != INF:
-        wt = eb.psi * eb.t ** eb.b * math.exp(-eb.t)
-        wT = wt * eb.t
+    if s != INF:
+        ws = xi * s ** a * math.exp(-s)
+        wS = ws * s
+    if t != INF:
+        wt = psi * t ** b * math.exp(-t)
+        wT = wt * t
     return ws, wt, wS, wT
 
 
@@ -503,18 +508,22 @@ Brackets = namedtuple("Brackets", "rp rm brx_q1 bry_q1 bry_p brx_q bry_q bry_p1"
 
 
 def brackets(eb: EvalBundle) -> Brackets:
+    """``bracket_terms`` of the bundle."""
+    return bracket_terms(eb.sv, eb.p, eb.q, eb.p1, eb.q1, eb.X, eb.Y, eb.s, eb.t)
+
+
+def bracket_terms(sv, p, q, p1, q1, X, Y, s, t) -> Brackets:
     """The norm ratios rp = S_n/S_n+1, rm = S_n-1/S_n and the six three-term
     brackets rp v[0] - c v[1] - rm v[2] that the Lax matrices and the flow
     read: at s, brx_q1 (v = Q1, c = X - s), bry_q1 (Q1, -(Y + s)) and bry_p
     (P, Y + s); at t, brx_q (Q, X + t), bry_q (Q, -(Y - t)) and bry_p1
-    (P1, Y - t).
+    (P1, Y - t).  Vectors are ordered [n+1, n, n-1] like the bundle's.
 
     At an infinite sentinel cutoff that side's boundary values are zero and
     enter only through the vanishing weight, so its three brackets are zero.
     """
-    rp = eb.sv[1] / eb.sv[0]
-    rm = eb.sv[2] / eb.sv[1]
-    p, q, p1, q1, X, Y, s, t = eb.p, eb.q, eb.p1, eb.q1, eb.X, eb.Y, eb.s, eb.t
+    rp = sv[1] / sv[0]
+    rm = sv[2] / sv[1]
     brx_q1 = bry_q1 = bry_p = brx_q = bry_q = bry_p1 = 0.0
     if s != INF:
         brx_q1 = rp * q1[0] - (X - s) * q1[1] - rm * q1[2]

@@ -167,7 +167,10 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
     """Determinant route transported by the constrained deformation flow.
 
     The flow starts from a moment-route seed at (s, t) = (1, 1) and runs
-    along the straight path to d at tolerance 1e-9; est_error is 1e-8 of
+    along the straight path to d with ``flow.integrate`` at tolerance 1e-9:
+    first-same-as-last Dormand-Prince steps on the one right-hand side
+    ``flow.rhs_total``, each step's error relative per component and
+    absolute in log Z, which is relative in the value.  est_error is 1e-8 of
     the value.  xi and psi must be real (DomainError otherwise)."""
     from . import flow as _flow
 

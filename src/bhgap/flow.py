@@ -1,17 +1,21 @@
 """The closed constrained dynamical system in the deformation variables (s, t).
 
 The 23-variable state is the evaluation bundle (four boundary triples, the
-pi/eta triples, X, Y, and the three norms) plus log Z bookkeeping.  The
-right-hand sides are assembled purely from the current state, which carries
-a, b, xi and psi: coupling kernels off anti-incidence come from the G-matrix
-bilinears, the two anti-incidence kernels from the finite limit formulas,
-the brackets from ``bops.brackets``.  An infinite cutoff zeroes that side's
-boundary values, brackets and kernels, so each flow's right-hand side is
-finite at the other variable's infinite cutoff and raises DomainError at its
-own.
+pi/eta triples, X, Y, and the three norms) plus log Z bookkeeping.  Both
+right-hand sides come from one plain-float function, ``rhs_total``, of the
+24-vector, n, a, b, xi, psi, (s, t) and a direction (ds, dt); the numpy
+``rhs_total_s`` and ``rhs_total_t`` are calls of it.  It expands the coupling
+kernels off anti-incidence (G-matrix bilinears), the two anti-incidence
+kernels (finite limit formulas) and the brackets (``bops.bracket_terms``)
+into the products the flow reads; the Lax and kernel-limit assembly remains
+for the identity checks.  An infinite cutoff zeroes that side's boundary
+values, brackets and kernels, so each flow's right-hand side is finite at
+the other variable's infinite cutoff and raises DomainError at its own.
 
-Constraints are monitored, not projected, by default: they are conserved by
-the exact dynamics, so drift is a discretization diagnostic.  An optional
+``integrate`` runs the first-same-as-last Dormand-Prince 4/5 pair with a
+per-component relative error (absolute in log Z).  Constraints are
+monitored, not projected, by default: they are conserved by the exact
+dynamics, so drift is a discretization diagnostic.  An optional
 least-squares projection onto the four linear relations is available.
 """
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, lax
-from .bops import EvalBundle, brackets, build_state, deformation_weights, eval_bundle, zdet
-from .params import INF, DeformPoint, DomainError, ModelParams
+from .bops import (EvalBundle, bracket_terms, brackets, build_state, cutoff_weights,
+                   deformation_weights, eval_bundle, zdet)
+from .params import INF, DeformPoint, DomainError, GenericityError, ModelParams
 
 
 class FlowAbort(RuntimeError):
@@ -85,54 +90,189 @@ def from_moments(p: ModelParams, d: DeformPoint, n: int) -> FlowState:
 
 
 # ---------------------------------------------------------------------------
-# coefficient matrices of the total-derivative equations
+# the right-hand side
 # ---------------------------------------------------------------------------
 
-def _a0_plus(eb: EvalBundle, br, wT: float) -> np.ndarray:
-    n, a, b, s = eb.n, eb.a, eb.b, eb.s
+def _a0_plus(n, a, b, s, pr_u, pr_d, X, Y, rp, rm, c):
+    """A_0^+ of the s-flow's P(s) equation; pr_u, pr_d = pi_n+1/pi_n,
+    pi_n-1/pi_n and c = wT P1_n-1(-t) Q_n(t)."""
+    return ((n + 1.0 - rp * pr_u, pr_u * (Y + s), rm * pr_u),
+            (-rp, Y + s - n - a - b - 1.0, rm),
+            (-rp * pr_d, -pr_d * (X - s) + c, rm * pr_d - n - a - b))
+
+
+def _a0_minus(n, a, b, t, pr_u, pr_d, X, Y, rp, rm, c):
+    """A_0^- of the t-flow's P1(-t) equation; c = wS P_n-1(s) Q1_n(-s)."""
+    return ((n + 1.0 + a + t - rp * pr_u, pr_u * (Y - t), rm * pr_u),
+            (-rp, Y - n - b - 1.0, rm),
+            (-rp * pr_d, -pr_d * (X + t) + c, rm * pr_d - n - b + t))
+
+
+def _d0_plus(n, a, b, t, er_u, er_d, X, Y, rp, rm, c):
+    """D_0^+ of the t-flow's Q(t) equation; er_u, er_d = eta_n+1/eta_n,
+    eta_n-1/eta_n and c = wS P_n(s) Q1_n-1(-s)."""
+    return ((n + 1.0 - rp * er_u, er_u * (X + t), rm * er_u),
+            (-rp, X + t - n - a - b - 1.0, rm),
+            (-rp * er_d, -er_d * (Y - t) + c, rm * er_d - n - a - b))
+
+
+def _d0_minus(n, a, b, s, er_u, er_d, X, Y, rp, rm, c):
+    """D_0^- of the s-flow's Q1(-s) equation; c = wT P1_n(-t) Q_n-1(t)."""
+    return ((n + 1.0 + b + s - rp * er_u, er_u * (X - s), rm * er_u),
+            (-rp, X - n - a - 1.0, rm),
+            (-rp * er_d, -er_d * (Y + s) + c, rm * er_d + s - n - a))
+
+
+def _mv(m, v):
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    v0, v1, v2 = v
+    return (m00 * v0 + m01 * v1 + m02 * v2,
+            m10 * v0 + m11 * v1 + m12 * v2,
+            m20 * v0 + m21 * v1 + m22 * v2)
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _gvec(rp, rm, X, Y, x, y, w):
+    """G_n(x, y) w, with the G-matrix of ``kernels.gmatrix`` written in the
+    norm ratios rp = S_n/S_n+1, rm = S_n-1/S_n."""
+    w0, w1, w2 = w
+    return (rp * (rp * w0 + (Y - y) * w1 - rm * w2),
+            rp * (X - x) * w0 + (X + y) * (Y + x) * w1 + rm * (Y + x) * w2,
+            rm * (-rp * w0 + (X + y) * w1 + rm * w2))
+
+
+def _spectral(m, hd, d, w, k, v, x):
+    """((M + hd diag(d0, -d1, -d2)) w - k v) / x: the P(s) and Q1(-s)
+    equations of the s-flow, the Q(t) and P1(-t) ones of the t-flow."""
+    m0, m1, m2 = _mv(m, w)
+    return ((m0 + hd * d[0] * w[0] - k * v[0]) / x,
+            (m1 - hd * d[1] * w[1] - k * v[1]) / x,
+            (m2 - hd * d[2] * w[2] - k * v[2]) / x)
+
+
+def _corner(h, d, c, w, k, v):
+    """B w + k v, where B, one of B_inf0, B_inf0b, C_inf0 and C_inf0b, is
+    h diag(d0, -d1, -d2) with -2h c in its (n-1, n) corner."""
+    return (h * d[0] * w[0] + k * v[0],
+            -h * d[1] * w[1] + k * v[1],
+            -h * (2.0 * c * w[1] + d[2] * w[2]) + k * v[2])
+
+
+def rhs_total(y, n, a, b, xi, psi, s, t, ds, dt) -> list:
+    """ds d/ds + dt d/dt of the 24-component state vector y at (s, t), in
+    plain floats: the one source of the flow's right-hand sides.
+
+    The coupling kernels off anti-incidence come from G-matrix bilinears and
+    the two anti-incidence kernels from their finite limit formulas, both
+    expanded into the products the flow reads; ``rhs_decomposition_residual``
+    and the tests check them against the Lax and kernel-limit assembly.  A
+    direction whose coefficient is zero is not evaluated.  An infinite
+    cutoff zeroes that side's weights, brackets and kernels, as it zeroes its
+    boundary values in y; a nonzero ds at an infinite s, or dt at an
+    infinite t, raises DomainError.
+    """
+    if n < 1:
+        raise DomainError("the flow needs n >= 1")
+    if ds and s == INF:
+        raise DomainError("the s-flow needs a finite s cutoff")
+    if dt and t == INF:
+        raise DomainError("the t-flow needs a finite t cutoff")
+    # P(s), Q(t), P1(-t), Q1(-s), pi, eta and S ordered [n+1, n, n-1]
+    p, q, p1, q1 = y[0:3], y[3:6], y[6:9], y[9:12]
+    piv, etav, X, Y, sv = y[12:15], y[15:18], y[18], y[19], y[20:23]
+    pin, etn = piv[1], etav[1]
+    pe = pin * etn
+    if pe == 0:
+        raise GenericityError("pi_n eta_n vanished", index=n)
+    ws, wt, wS, wT = cutoff_weights(s, t, a, b, xi, psi)
+    br = bracket_terms(sv, p, q, p1, q1, X, Y, s, t)
     rp, rm = br.rp, br.rm
-    pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
-    return np.array([
-        [n + 1.0 - rp * pr_u, pr_u * (eb.Y + s), rm * pr_u],
-        [-rp, eb.Y + s - n - a - b - 1.0, rm],
-        [-rp * pr_d, -pr_d * (eb.X - s) + wT * eb.p1[2] * eb.q[1], rm * pr_d - n - a - b],
-    ])
+    pr_u, pr_d = piv[0] / pin, piv[2] / pin
+    er_u, er_d = etav[0] / etn, etav[2] / etn
+    fin_s, fin_t = s != INF, t != INF
+    # G(s, -s) Q1(-s), G(-t, t) Q(t) and the two off-anti-incidence kernels
+    gs = _gvec(rp, rm, X, Y, s, -s, q1) if fin_s else (0.0, 0.0, 0.0)
+    gt = _gvec(rp, rm, X, Y, -t, t, q) if fin_t else (0.0, 0.0, 0.0)
+    k00 = k11 = cross = 0.0
+    if fin_s and fin_t:
+        k00 = _dot(p, _gvec(rp, rm, X, Y, s, t, q)) / (pe * (s + t))
+        k11 = _dot(p1, _gvec(rp, rm, X, Y, -t, -s, q1)) / (pe * (-t - s))
+        # the A_s and A_mt terms of the anti-incidence limit formulas
+        cross = _dot(p1, gs) * _dot(p, gt) / (pe * (s + t))
+    # A_sigma and the middle row of the anti-incidence limit formulas; the
+    # limits K01_n(s, -s), K10_n(-t, t) enter shifted to n-1
+    a10 = pr_u * Y + (wS * p[0] * br.brx_q1 + wT * p1[0] * br.brx_q) / pe
+    am10 = -pr_d * X + (wS * p[2] * br.bry_q1 + wT * p1[2] * br.bry_q) / pe
+    sigma = ((n + 1.0 - rp * pr_u, a10, rm * pr_u),
+             (-rp, -a - 1.0 + rp * pr_u - rm * pr_d, rm),
+             (-rp * pr_d, am10, -n - a - b + rm * pr_d))
+    mid = (pr_u, 1.0, pr_d + sv[1] / sv[2])
+    out = [0.0] * 24
+    if ds:
+        h, hd = 0.5 * ws, 0.5 * wS
+        d = (p[0] * q1[0], p[1] * q1[1], p[2] * q1[2])
+        cb, cbb = p[2] * q1[1], p[1] * q1[2]  # corners of B_inf0, B_inf0b
+        k01 = ((p[1] * _dot(mid, gs) + _dot(_mv(sigma, p), gs) / s - wT * cross / s)
+               / pe - p[1] * q1[1])
+        a0 = _a0_plus(n, a, b, s, pr_u, pr_d, X, Y, rp, rm, wT * p1[2] * q[1])
+        d0 = _d0_minus(n, a, b, s, er_u, er_d, X, Y, rp, rm, wT * p1[1] * q[2])
+        out_s = (*_spectral(a0, hd, d, p, wT * k00, p1, s),
+                 *_corner(h, d, cbb, q, ws * k00, q1),
+                 *_corner(h, d, cb, p1, ws * k11, p),
+                 *_spectral(d0, hd, d, q1, wT * k11, q, s),
+                 *_corner(h, d, cb, piv, -ws / etn * br.brx_q1, p),
+                 *_corner(h, d, cbb, etav, -ws / pin * br.bry_p, q1),
+                 ws * (-rp * p[0] * q1[1] + rm * p[1] * q1[2]),
+                 ws * (-rp * p[1] * q1[0] + rm * p[2] * q1[1]),
+                 h * sv[0] * d[0], h * sv[1] * d[1], h * sv[2] * d[2],
+                 -ws * k01)
+        out = [ds * v for v in out_s]
+    if dt:
+        h, hd = 0.5 * wt, 0.5 * wT
+        d = (p1[0] * q[0], p1[1] * q[1], p1[2] * q[2])
+        cc, ccb = p1[2] * q[1], p1[1] * q[2]  # corners of C_inf0, C_inf0b
+        k10 = ((p1[1] * _dot(mid, gt) - _dot(_mv(sigma, p1), gt) / t - wS * cross / t)
+               / pe - p1[1] * q[1])
+        d0 = _d0_plus(n, a, b, t, er_u, er_d, X, Y, rp, rm, wS * p[1] * q1[2])
+        a0 = _a0_minus(n, a, b, t, pr_u, pr_d, X, Y, rp, rm, wS * p[2] * q1[1])
+        out_t = (*_corner(h, d, cc, p, wt * k00, p1),
+                 *_spectral(d0, hd, d, q, wS * k00, q1, t),
+                 *_spectral(a0, hd, d, p1, wS * k11, p, t),
+                 *_corner(h, d, ccb, q1, wt * k11, q),
+                 *_corner(h, d, cc, piv, -wt / etn * br.brx_q, p1),
+                 *_corner(h, d, ccb, etav, -wt / pin * br.bry_p1, q),
+                 wt * (-rp * p1[0] * q[1] + rm * p1[1] * q[2]),
+                 wt * (-rp * p1[1] * q[0] + rm * p1[2] * q[1]),
+                 h * sv[0] * d[0], h * sv[1] * d[1], h * sv[2] * d[2],
+                 -wt * k10)
+        out = [o + dt * v for o, v in zip(out, out_t)]
+    return out
 
 
-def _a0_minus(eb: EvalBundle, br, wS: float) -> np.ndarray:
-    n, a, b, t = eb.n, eb.a, eb.b, eb.t
-    rp, rm = br.rp, br.rm
-    pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
-    return np.array([
-        [n + 1.0 + a + t - rp * pr_u, pr_u * (eb.Y - t), rm * pr_u],
-        [-rp, eb.Y - n - b - 1.0, rm],
-        [-rp * pr_d, -pr_d * (eb.X + t) + wS * eb.p[2] * eb.q1[1], rm * pr_d - n - b + t],
-    ])
+def _rhs_of_state(fs: FlowState, ds: float, dt: float) -> np.ndarray:
+    eb = fs.bundle
+    return np.array(rhs_total(fs.vector().tolist(), eb.n, eb.a, eb.b, eb.xi, eb.psi,
+                              eb.s, eb.t, ds, dt))
 
 
-def _d0_plus(eb: EvalBundle, br, wS: float) -> np.ndarray:
-    n, a, b, t = eb.n, eb.a, eb.b, eb.t
-    rp, rm = br.rp, br.rm
-    er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
-    return np.array([
-        [n + 1.0 - rp * er_u, er_u * (eb.X + t), rm * er_u],
-        [-rp, eb.X + t - n - a - b - 1.0, rm],
-        [-rp * er_d, -er_d * (eb.Y - t) + wS * eb.p[1] * eb.q1[2], rm * er_d - n - a - b],
-    ])
+def rhs_total_s(fs: FlowState) -> np.ndarray:
+    """d/ds of the 24-component state vector along the s-flow: ``rhs_total``
+    in the direction (1, 0).  Raises DomainError at an infinite s."""
+    return _rhs_of_state(fs, 1.0, 0.0)
 
 
-def _d0_minus(eb: EvalBundle, br, wT: float) -> np.ndarray:
-    n, a, b, s = eb.n, eb.a, eb.b, eb.s
-    rp, rm = br.rp, br.rm
-    er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
-    return np.array([
-        [n + 1.0 + b + s - rp * er_u, er_u * (eb.X - s), rm * er_u],
-        [-rp, eb.X - n - a - 1.0, rm],
-        [-rp * er_d, -er_d * (eb.Y + s) + wT * eb.p1[1] * eb.q[2], rm * er_d + s - n - a],
-    ])
+def rhs_total_t(fs: FlowState) -> np.ndarray:
+    """d/dt of the 24-component state vector along the t-flow: ``rhs_total``
+    in the direction (0, 1).  Raises DomainError at an infinite t."""
+    return _rhs_of_state(fs, 0.0, 1.0)
 
 
 def _kernels_from_state(eb: EvalBundle, lb) -> dict:
+    """The coupling kernels from the G-matrix bilinears and the Lax bundle's
+    anti-incidence limit formulas, for the identity checks."""
     # a kernel whose boundary point sits at an infinite cutoff is zero, like
     # the boundary values there
     pe = eb.piv[1] * eb.etav[1]
@@ -147,64 +287,6 @@ def _kernels_from_state(eb: EvalBundle, lb) -> dict:
         k10_n = kernels.kernel10_limit(eb, lb)
     return {"k00": k00, "k11": k11, "k01_n": k01_n, "k10_n": k10_n,
             "k01": k01_n - eb.p[1] * eb.q1[1], "k10": k10_n - eb.p1[1] * eb.q[1]}
-
-
-def rhs_total_s(fs: FlowState, lb=None, kv=None) -> np.ndarray:
-    """d/ds of the 24-component state vector along the s-flow; raises
-    DomainError at an infinite s."""
-    eb = fs.bundle
-    if eb.s == INF:
-        raise DomainError("the s-flow needs a finite s cutoff")
-    if lb is None:
-        lb = lax.build_lax(eb)
-    if kv is None:
-        kv = _kernels_from_state(eb, lb)
-    s = eb.s
-    ws, wt, wS, wT = deformation_weights(eb)
-    br = lb.br
-    rp, rm = br.rp, br.rm
-    adiag = 0.5 * wS * np.diag([eb.p[0] * eb.q1[0], -eb.p[1] * eb.q1[1],
-                                -eb.p[2] * eb.q1[2]])
-    dp = ((_a0_plus(eb, br, wT) + adiag) @ eb.p - wT * kv["k00"] * eb.p1) / s
-    dq = lb.B_inf0b @ eb.q + ws * kv["k00"] * eb.q1
-    dp1 = lb.B_inf0 @ eb.p1 + ws * kv["k11"] * eb.p
-    dq1 = ((_d0_minus(eb, br, wT) + adiag) @ eb.q1 - wT * kv["k11"] * eb.q) / s
-    dpi = lb.B_inf0 @ eb.piv - ws / eb.etav[1] * br.brx_q1 * eb.p
-    deta = lb.B_inf0b @ eb.etav - ws / eb.piv[1] * br.bry_p * eb.q1
-    dX = ws * (-rp * eb.p[0] * eb.q1[1] + rm * eb.p[1] * eb.q1[2])
-    dY = ws * (-rp * eb.p[1] * eb.q1[0] + rm * eb.p[2] * eb.q1[1])
-    dS = 0.5 * ws * eb.sv * eb.p * eb.q1
-    dlz = -ws * kv["k01"]
-    return np.concatenate([dp, dq, dp1, dq1, dpi, deta, [dX, dY], dS, [dlz]])
-
-
-def rhs_total_t(fs: FlowState, lb=None, kv=None) -> np.ndarray:
-    """d/dt of the 24-component state vector along the t-flow; raises
-    DomainError at an infinite t."""
-    eb = fs.bundle
-    if eb.t == INF:
-        raise DomainError("the t-flow needs a finite t cutoff")
-    if lb is None:
-        lb = lax.build_lax(eb)
-    if kv is None:
-        kv = _kernels_from_state(eb, lb)
-    t = eb.t
-    ws, wt, wS, wT = deformation_weights(eb)
-    br = lb.br
-    rp, rm = br.rp, br.rm
-    ddiag = 0.5 * wT * np.diag([eb.p1[0] * eb.q[0], -eb.p1[1] * eb.q[1],
-                                -eb.p1[2] * eb.q[2]])
-    dp = lb.C_inf0 @ eb.p + wt * kv["k00"] * eb.p1
-    dq = ((_d0_plus(eb, br, wS) + ddiag) @ eb.q - wS * kv["k00"] * eb.q1) / t
-    dp1 = ((_a0_minus(eb, br, wS) + ddiag) @ eb.p1 - wS * kv["k11"] * eb.p) / t
-    dq1 = lb.C_inf0b @ eb.q1 + wt * kv["k11"] * eb.q
-    dpi = lb.C_inf0 @ eb.piv - wt / eb.etav[1] * br.brx_q * eb.p1
-    deta = lb.C_inf0b @ eb.etav - wt / eb.piv[1] * br.bry_p1 * eb.q
-    dX = wt * (-rp * eb.p1[0] * eb.q[1] + rm * eb.p1[1] * eb.q[2])
-    dY = wt * (-rp * eb.p1[1] * eb.q[0] + rm * eb.p1[2] * eb.q[1])
-    dS = 0.5 * wt * eb.sv * eb.p1 * eb.q
-    dlz = -wt * kv["k10"]
-    return np.concatenate([dp, dq, dp1, dq1, dpi, deta, [dX, dY], dS, [dlz]])
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +401,8 @@ def rhs_decomposition_residual(fs: FlowState) -> float:
     kv = _kernels_from_state(eb, lb)
     s, t, a, b = eb.s, eb.t, eb.a, eb.b
     ws, wt, _, _ = deformation_weights(eb)
-    tot_s = rhs_total_s(fs, lb, kv)
-    tot_t = rhs_total_t(fs, lb, kv)
+    tot_s = rhs_total_s(fs)
+    tot_t = rhs_total_t(fs)
     worst = 0.0
     # s-flow, P(s): total = partial + d/dx
     partial = (lb.B_inf0 + ws * kv["k01_n"] * np.eye(3)) @ eb.p
@@ -353,19 +435,22 @@ def rhs_decomposition_residual(fs: FlowState) -> float:
 # adaptive integration
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# stage rows a_i; the last row is the fifth-order weights, so stage 7 is
+# evaluated at y5 and serves as the next step's stage 1
 _DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# fifth- minus fourth-order weights over the seven stages: y5 - y4 = h E K
+_DP_E = (np.append(_DP_A[6], 0.0)
+         - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                     -92097 / 339200, 187 / 2100, 1 / 40]))
 _MAX_STEPS = 100000  # step attempts per path segment
 
 
@@ -377,16 +462,26 @@ def _path_segments(path):
 
 
 def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
-    """Integrate the flow along a piecewise-linear (s,t) path with an
-    embedded Dormand-Prince 4/5 pair.
+    """Integrate the flow along a piecewise-linear (s,t) path with the
+    embedded Dormand-Prince 4/5 pair, first-same-as-last.
 
-    At every accepted step the eight constraint residuals are evaluated; a
-    step whose worst residual exceeds 100*tol is rejected and halved.  Below
-    the floor step (1e-12 of the segment) the flow aborts with the offending
-    constraint, and after 100,000 step attempts on one segment it aborts too.
-    A NaN error estimate or residual fails its guard like an oversized one.
-    A segment that is not finite, such as one along an infinite cutoff,
-    raises DomainError.
+    Along a segment the derivative is ``rhs_total`` in the segment's
+    direction.  An attempt evaluates it six times: stage 7 is taken at the
+    fifth-order solution y5 and, once the step is accepted, reused as the
+    next step's stage 1; a rejected attempt keeps its stage 1.  Stage 1 is
+    evaluated afresh at the start of each segment and after a step that
+    ``project_constraints`` moved.
+
+    The step error is max_i |y5_i - y4_i| / max(|y_i|, |y5_i|), a component
+    that is zero at both ends counting zero, except for log Z, whose error
+    is absolute: its absolute error is the relative error of Z.  A step is
+    accepted when that is at most tol.  Then the eight constraint residuals
+    are evaluated; a step whose worst residual exceeds 100*tol is rejected
+    and halved.  Below the floor step (1e-12 of the segment) the flow aborts
+    with the offending constraint, and after 100,000 step attempts on one
+    segment it aborts too.  A NaN error estimate or residual fails its guard
+    like an oversized one.  A segment that is not finite, such as one along
+    an infinite cutoff, raises DomainError.
     """
     init_res = np.abs(constraint_residuals(fs0)).max()
     if not init_res <= 1e-8:
@@ -396,6 +491,9 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
     if not segs:
         return traj
     template = fs0.bundle
+    n, a, b = template.n, float(template.a), float(template.b)
+    xi, psi = float(template.xi), float(template.psi)
+    stages = np.empty((7, 24))
     for (s0, t0), (s1, t1) in segs:
         ds, dt = s1 - s0, t1 - t0
         seg_len = math.hypot(ds, dt)
@@ -406,33 +504,30 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
         floor = 1e-12 * seg_len
 
         def f(u, y):
-            fs = FlowState.from_vector(y, template, s0 + u * ds, t0 + u * dt)
-            lb = lax.build_lax(fs.bundle)
-            kv = _kernels_from_state(fs.bundle, lb)
-            out = np.zeros_like(y)
-            if ds:
-                out += ds * rhs_total_s(fs, lb, kv)
-            if dt:
-                out += dt * rhs_total_t(fs, lb, kv)
-            return out
+            return rhs_total(y.tolist(), n, a, b, xi, psi, s0 + u * ds, t0 + u * dt, ds, dt)
 
         u = 0.0
         y = traj[-1].vector()
         h = 0.1
         steps = 0
+        k1 = None
         while u < 1.0 - 1e-14:
+            if k1 is None:
+                k1 = f(u, y)
             if steps >= _MAX_STEPS:
                 raise FlowAbort("step budget exhausted")
             h = min(h, 1.0 - u)
-            k = [f(u, y)]
-            for i in range(1, 7):
-                yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i))
-                k.append(f(u + _DP_C[i] * h, yi))
-            karr = np.array(k)
-            y5 = y + h * (_DP_B5 @ karr)
-            y4 = y + h * (_DP_B4 @ karr)
-            scale = np.max(np.abs(y)) + 1.0
-            err = np.max(np.abs(y5 - y4)) / scale
+            stages[0] = k1
+            for i in range(1, 6):
+                stages[i] = f(u + _DP_C[i] * h, y + h * (_DP_A[i] @ stages[:i]))
+            y5 = y + h * (_DP_A[6] @ stages[:6])
+            k7 = f(u + h, y5)
+            stages[6] = k7
+            # a component zero at both ends counts zero; log Z is absolute
+            scale = np.maximum(np.abs(y), np.abs(y5))
+            scale[scale == 0.0] = np.inf
+            scale[-1] = 1.0
+            err = np.max(np.abs(h * (_DP_E @ stages)) / scale)
             if not err <= tol:
                 h = max(0.5 * h, floor)
                 if h <= floor:
@@ -455,6 +550,7 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
             y = cand.vector()
             traj.append(cand)
             steps += 1
+            k1 = None if project else k7
             if err > 0:
                 h = min(2.0 * h, 0.9 * h * (tol / err) ** 0.2)
             else:
@@ -471,27 +567,30 @@ def g_derivative_check(fs: FlowState, p: ModelParams):
     anti-incidence G-matrices (s- and t-versions), central differences of
     step 1e-4 on the moment route against the closed right-hand sides."""
     eb = fs.bundle
-    s, t = eb.s, eb.t
+    n, a, b, s, t, X, Y = eb.n, eb.a, eb.b, eb.s, eb.t, eb.X, eb.Y
     h = 1e-4
-    ws, wt, wS, wT = deformation_weights(eb)
+    _, _, wS, wT = deformation_weights(eb)
     pe = eb.piv[1] * eb.etav[1]
-    lb = lax.build_lax(eb)
-    kv = _kernels_from_state(eb, lb)
+    br = brackets(eb)
+    pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
+    er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
 
     def g_of(ss, tt, x, y):
-        st = build_state(p, DeformPoint(ss, tt), eb.n)
+        st = build_state(p, DeformPoint(ss, tt), n)
         return kernels.gmatrix(st, x, y)
 
     # s-version at (s, -s)
     fd = (g_of(s + h, t, s + h, -(s + h)) - g_of(s - h, t, s - h, -(s - h))) / (2 * h) * s
-    tot_s = rhs_total_s(fs, lb, kv)
+    tot_s = rhs_total_s(fs)
     dlog_pe = s * (tot_s[18] + tot_s[19]) / pe
     adiag = 0.5 * wS * np.diag([eb.p[0] * eb.q1[0], -eb.p[1] * eb.q1[1],
                                 -eb.p[2] * eb.q1[2]])
-    a_plus = _a0_plus(eb, lb.br, wT) + adiag
-    d_minus = _d0_minus(eb, lb.br, wT) + adiag
+    a_plus = np.array(_a0_plus(n, a, b, s, pr_u, pr_d, X, Y, br.rp, br.rm,
+                               wT * eb.p1[2] * eb.q[1])) + adiag
+    d_minus = np.array(_d0_minus(n, a, b, s, er_u, er_d, X, Y, br.rp, br.rm,
+                                 wT * eb.p1[1] * eb.q[2])) + adiag
     g_ss = kernels.gmatrix(eb, s, -s)
-    rhs = ((s - eb.a) * g_ss + dlog_pe * g_ss
+    rhs = ((s - a) * g_ss + dlog_pe * g_ss
            - a_plus.T @ g_ss - g_ss @ d_minus
            - wT / (pe * (s + t)) * np.outer(g_ss @ eb.q,
                                             kernels.gmatrix(eb, -t, -s).T @ eb.p1)
@@ -500,14 +599,16 @@ def g_derivative_check(fs: FlowState, p: ModelParams):
     res_s = np.abs(fd - rhs).max() / max(np.abs(rhs).max(), 1.0)
     # t-version at (-t, t)
     fd = (g_of(s, t + h, -(t + h), t + h) - g_of(s, t - h, -(t - h), t - h)) / (2 * h) * t
-    tot_t = rhs_total_t(fs, lb, kv)
+    tot_t = rhs_total_t(fs)
     dlog_pe = t * (tot_t[18] + tot_t[19]) / pe
     ddiag = 0.5 * wT * np.diag([eb.p1[0] * eb.q[0], -eb.p1[1] * eb.q[1],
                                 -eb.p1[2] * eb.q[2]])
-    a_minus = _a0_minus(eb, lb.br, wS) + ddiag
-    d_plus = _d0_plus(eb, lb.br, wS) + ddiag
+    a_minus = np.array(_a0_minus(n, a, b, t, pr_u, pr_d, X, Y, br.rp, br.rm,
+                                 wS * eb.p[2] * eb.q1[1])) + ddiag
+    d_plus = np.array(_d0_plus(n, a, b, t, er_u, er_d, X, Y, br.rp, br.rm,
+                               wS * eb.p[1] * eb.q1[2])) + ddiag
     g_tt = kernels.gmatrix(eb, -t, t)
-    rhs = ((t - eb.b) * g_tt + dlog_pe * g_tt
+    rhs = ((t - b) * g_tt + dlog_pe * g_tt
            - a_minus.T @ g_tt - g_tt @ d_plus
            - wS / (pe * (s + t)) * np.outer(kernels.gmatrix(eb, -t, -s) @ eb.q1,
                                             g_tt.T @ eb.p)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bops import (BopsState, Brackets, EvalBundle, brackets, build_state, deformation_weights,
+from .bops import (BopsState, EvalBundle, brackets, build_state, deformation_weights,
                    eval_bundle)
 from .kernels import gmatrix
 from .params import DomainError, GenericityError
@@ -22,8 +22,7 @@ class LaxBundle:
     """Residue matrices at one (n, s, t); A_0 = A_sigma - A_s - A_mt.
 
     B_inf0, B_inf0b, C_inf0 and C_inf0b are the diagonal-plus-corner parts of
-    B_inf and C_inf, and br the ``bops.brackets`` of the bundle the matrices
-    were built from; the deformation flow reuses all five.
+    B_inf and C_inf, which ``flow.rhs_decomposition_residual`` reads.
     """
 
     n: int
@@ -36,12 +35,10 @@ class LaxBundle:
     B_inf: np.ndarray
     C_mt: np.ndarray
     C_inf: np.ndarray
-    # auxiliary pieces reused by the deformation flow
     B_inf0: np.ndarray
     B_inf0b: np.ndarray
     C_inf0: np.ndarray
     C_inf0b: np.ndarray
-    br: Brackets
 
 
 def _as_bundle(state_or_eb) -> EvalBundle:
@@ -110,7 +107,7 @@ def build_lax(state_or_eb) -> LaxBundle:
     col1[:, 1] = p1v
     C_inf = C_inf0 - wt / pe * br.brx_q * col1
     return LaxBundle(n, A_inf, A_s, A_mt, A_sigma, A_0, -A_s, B_inf, A_mt.copy(), C_inf,
-                     B_inf0, B_inf0b, C_inf0, C_inf0b, br)
+                     B_inf0, B_inf0b, C_inf0, C_inf0b)
 
 
 def q_side_lax(state_or_eb) -> LaxBundle:

@@ -287,15 +287,15 @@ def test_flow_route_matches_determinant():
 
 
 # (m, s, t) -> (value, est_error) at a = 0.3, b = 0.7, xi = 1, psi = 0.6,
-# flowed from (1, 1).  The two m = 4 targets sit where the flow misses z_cl2m
-# by 0.87 and 0.99 of the benchmark's 1e-8 tolerance, so a reordered
-# floating-point expression in the flow, Lax or kernel layers shows here
+# flowed from (1, 1).  They sit 1.1e-10 to 2.0e-9 from z_cl2m; a reordered
+# floating-point expression in the flow's right-hand side or a change to its
+# step control shows here
 FLOW_GOLDEN = {
-    (2, 3.4, 0.6): (0.28177313666131537, 2.8177313666131537e-09),
-    (3, 2.5, 3.3): (0.08410760933951907, 8.410760933951906e-10),
-    (4, 2.183616934054415, 1.1926985565215407): (0.0005920193429140178, 5.920193429140178e-12),
-    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654470850916, 7.194654470850916e-12),
-    (5, 2.3, 1.1): (3.3600614754827443e-06, 3.3600614754827445e-14),
+    (2, 3.4, 0.6): (0.2817731372071437, 2.817731372071437e-09),
+    (3, 2.5, 3.3): (0.08410760961326214, 8.410760961326213e-10),
+    (4, 2.183616934054415, 1.1926985565215407): (0.0005920193469958061, 5.92019346995806e-12),
+    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654527411449, 7.194654527411449e-12),
+    (5, 2.3, 1.1): (3.3600615839100974e-06, 3.3600615839100976e-14),
 }
 
 
@@ -304,3 +304,19 @@ def test_z_cl2m_flow_golden_values(key):
     m, s, t = key
     r = z_cl2m_flow(ModelParams(m, 0.3, 0.7, 1.0, 0.6), DeformPoint(s, t))
     assert (r.value, r.est_error) == FLOW_GOLDEN[key]
+
+
+@pytest.mark.parametrize("m, s, t", [
+    (3, 3.480055780781107, 2.2239286319753666),
+    (3, 3.409129784045822, 3.4321753682272655),
+    (4, 2.3222708530122245, 2.3600473412392464),
+    (5, 2.3, 1.1),
+])
+def test_flow_matches_determinant_where_the_absolute_norm_missed(m, s, t):
+    # the flow's step error is relative per component and absolute in log Z;
+    # an error normed by the largest component plus one misses z_cl2m here by
+    # 1.1e-8 to 3.4e-8
+    p = ModelParams(m, 0.3, 0.7, 1.0, 0.6)
+    d = DeformPoint(s, t)
+    want = z_cl2m(p, d).value
+    assert abs(z_cl2m_flow(p, d).value - want) <= 5e-9 * want

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bhgap import bops
-from bhgap.bops import build_state, eval_bundle, zdet
+from bhgap import bops, flow, lax
+from bhgap.bops import EvalBundle, brackets, build_state, deformation_weights, eval_bundle, zdet
 from bhgap.ensembles import normalizations, z_cl2m, z_cl2m_flow
 from bhgap.flow import (
     FlowAbort,
@@ -16,6 +16,7 @@ from bhgap.flow import (
     integrate,
     project_constraints,
     rhs_decomposition_residual,
+    rhs_total,
     rhs_total_s,
     rhs_total_t,
     trajectory_table,
@@ -264,3 +265,193 @@ def test_trajectory_table_shape():
     traj = integrate(fs0, [(1.0, 1.0), (1.2, 1.0)], tol=1e-8)
     table = trajectory_table(traj)
     assert table.shape[1] == 2 + 24 + 8
+
+
+# ---------------------------------------------------------------------------
+# numpy reference for flow.rhs_total: the right-hand sides assembled from the
+# Lax bundle, its kernel-limit formulas and the four coefficient matrices
+# ---------------------------------------------------------------------------
+
+def ref_a0_plus(eb, br, wT):
+    n, a, b, s = eb.n, eb.a, eb.b, eb.s
+    rp, rm = br.rp, br.rm
+    pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
+    return np.array([
+        [n + 1.0 - rp * pr_u, pr_u * (eb.Y + s), rm * pr_u],
+        [-rp, eb.Y + s - n - a - b - 1.0, rm],
+        [-rp * pr_d, -pr_d * (eb.X - s) + wT * eb.p1[2] * eb.q[1], rm * pr_d - n - a - b],
+    ])
+
+
+def ref_a0_minus(eb, br, wS):
+    n, a, b, t = eb.n, eb.a, eb.b, eb.t
+    rp, rm = br.rp, br.rm
+    pr_u, pr_d = eb.piv[0] / eb.piv[1], eb.piv[2] / eb.piv[1]
+    return np.array([
+        [n + 1.0 + a + t - rp * pr_u, pr_u * (eb.Y - t), rm * pr_u],
+        [-rp, eb.Y - n - b - 1.0, rm],
+        [-rp * pr_d, -pr_d * (eb.X + t) + wS * eb.p[2] * eb.q1[1], rm * pr_d - n - b + t],
+    ])
+
+
+def ref_d0_plus(eb, br, wS):
+    n, a, b, t = eb.n, eb.a, eb.b, eb.t
+    rp, rm = br.rp, br.rm
+    er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
+    return np.array([
+        [n + 1.0 - rp * er_u, er_u * (eb.X + t), rm * er_u],
+        [-rp, eb.X + t - n - a - b - 1.0, rm],
+        [-rp * er_d, -er_d * (eb.Y - t) + wS * eb.p[1] * eb.q1[2], rm * er_d - n - a - b],
+    ])
+
+
+def ref_d0_minus(eb, br, wT):
+    n, a, b, s = eb.n, eb.a, eb.b, eb.s
+    rp, rm = br.rp, br.rm
+    er_u, er_d = eb.etav[0] / eb.etav[1], eb.etav[2] / eb.etav[1]
+    return np.array([
+        [n + 1.0 + b + s - rp * er_u, er_u * (eb.X - s), rm * er_u],
+        [-rp, eb.X - n - a - 1.0, rm],
+        [-rp * er_d, -er_d * (eb.Y + s) + wT * eb.p1[1] * eb.q[2], rm * er_d + s - n - a],
+    ])
+
+
+def ref_rhs_s(eb):
+    lb = lax.build_lax(eb)
+    kv = flow._kernels_from_state(eb, lb)
+    s = eb.s
+    ws, wt, wS, wT = deformation_weights(eb)
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
+    adiag = 0.5 * wS * np.diag([eb.p[0] * eb.q1[0], -eb.p[1] * eb.q1[1],
+                                -eb.p[2] * eb.q1[2]])
+    dp = ((ref_a0_plus(eb, br, wT) + adiag) @ eb.p - wT * kv["k00"] * eb.p1) / s
+    dq = lb.B_inf0b @ eb.q + ws * kv["k00"] * eb.q1
+    dp1 = lb.B_inf0 @ eb.p1 + ws * kv["k11"] * eb.p
+    dq1 = ((ref_d0_minus(eb, br, wT) + adiag) @ eb.q1 - wT * kv["k11"] * eb.q) / s
+    dpi = lb.B_inf0 @ eb.piv - ws / eb.etav[1] * br.brx_q1 * eb.p
+    deta = lb.B_inf0b @ eb.etav - ws / eb.piv[1] * br.bry_p * eb.q1
+    dX = ws * (-rp * eb.p[0] * eb.q1[1] + rm * eb.p[1] * eb.q1[2])
+    dY = ws * (-rp * eb.p[1] * eb.q1[0] + rm * eb.p[2] * eb.q1[1])
+    dS = 0.5 * ws * eb.sv * eb.p * eb.q1
+    dlz = -ws * kv["k01"]
+    return np.concatenate([dp, dq, dp1, dq1, dpi, deta, [dX, dY], dS, [dlz]])
+
+
+def ref_rhs_t(eb):
+    lb = lax.build_lax(eb)
+    kv = flow._kernels_from_state(eb, lb)
+    t = eb.t
+    ws, wt, wS, wT = deformation_weights(eb)
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
+    ddiag = 0.5 * wT * np.diag([eb.p1[0] * eb.q[0], -eb.p1[1] * eb.q[1],
+                                -eb.p1[2] * eb.q[2]])
+    dp = lb.C_inf0 @ eb.p + wt * kv["k00"] * eb.p1
+    dq = ((ref_d0_plus(eb, br, wS) + ddiag) @ eb.q - wS * kv["k00"] * eb.q1) / t
+    dp1 = ((ref_a0_minus(eb, br, wS) + ddiag) @ eb.p1 - wS * kv["k11"] * eb.p) / t
+    dq1 = lb.C_inf0b @ eb.q1 + wt * kv["k11"] * eb.q
+    dpi = lb.C_inf0 @ eb.piv - wt / eb.etav[1] * br.brx_q * eb.p1
+    deta = lb.C_inf0b @ eb.etav - wt / eb.piv[1] * br.bry_p1 * eb.q
+    dX = wt * (-rp * eb.p1[0] * eb.q[1] + rm * eb.p1[1] * eb.q[2])
+    dY = wt * (-rp * eb.p1[1] * eb.q[0] + rm * eb.p1[2] * eb.q[1])
+    dS = 0.5 * wt * eb.sv * eb.p1 * eb.q
+    dlz = -wt * kv["k10"]
+    return np.concatenate([dp, dq, dp1, dq1, dpi, deta, [dX, dY], dS, [dlz]])
+
+
+def perturbed(eb, rng, rel=1e-3):
+    """The bundle with every dynamical value moved by up to rel, off the
+    constraint manifold; zero boundary values at an infinite cutoff stay zero."""
+    def jig(v):
+        return v * (1.0 + rel * rng.uniform(-1.0, 1.0, np.shape(v)))
+
+    return EvalBundle(eb.n, eb.s, eb.t, eb.a, eb.b, eb.xi, eb.psi,
+                      jig(eb.p), jig(eb.q), jig(eb.p1), jig(eb.q1), jig(eb.piv),
+                      jig(eb.etav), float(jig(eb.X)), float(jig(eb.Y)), jig(eb.sv))
+
+
+def fused(eb, ds, dt, logz=0.7):
+    y = FlowState(eb, logz).vector().tolist()
+    return np.array(rhs_total(y, eb.n, eb.a, eb.b, eb.xi, eb.psi, eb.s, eb.t, ds, dt))
+
+
+def normwise(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_fused_rhs_matches_lax_assembly(m):
+    # the s, t and diagonal directions at perturbed states, normwise
+    rng = np.random.default_rng(m)
+    p = ModelParams(m=m, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    for d in (D, DeformPoint(2.2, 1.4), DeformPoint(1.3, 3.1)):
+        eb0 = from_moments(p, d, m).bundle
+        for _ in range(4):
+            eb = perturbed(eb0, rng)
+            rs, rt = ref_rhs_s(eb), ref_rhs_t(eb)
+            assert normwise(fused(eb, 1.0, 0.0), rs) <= 1e-12
+            assert normwise(fused(eb, 0.0, 1.0), rt) <= 1e-12
+            assert normwise(fused(eb, 0.6, -1.3), 0.6 * rs - 1.3 * rt) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("d, ds, dt, ref", [
+    (DeformPoint(INF, 2.0), 0.0, 1.0, ref_rhs_t),
+    (DeformPoint(2.0, INF), 1.0, 0.0, ref_rhs_s),
+], ids=["t-flow", "s-flow"])
+def test_fused_rhs_matches_lax_assembly_at_the_other_infinite_cutoff(m, d, ds, dt, ref):
+    rng = np.random.default_rng(10 + m)
+    p = ModelParams(m=m, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    eb0 = from_moments(p, d, m).bundle
+    for _ in range(4):
+        eb = perturbed(eb0, rng)
+        want = ref(eb)
+        assert np.all(np.isfinite(want))
+        assert normwise(fused(eb, ds, dt), want) <= 1e-12
+
+
+def counted_rhs(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[6:8])  # the (s, t) it was evaluated at
+        return rhs_total(*args)
+
+    monkeypatch.setattr(flow, "rhs_total", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-13])
+def test_integrate_evaluates_six_stages_per_attempt(monkeypatch, tol):
+    # stage 7 of an accepted step is the next stage 1 and a rejected attempt
+    # keeps its stage 1: after three attempts (the budget; the segment needs
+    # more) the right-hand side has run 6 x 3 + 1 times, at tol 1e-13 with
+    # rejections among them
+    calls = counted_rhs(monkeypatch)
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    with pytest.raises(FlowAbort, match="budget"):
+        integrate(from_moments(P, D, 2), [(1.0, 1.0), (3.0, 2.0)], tol=tol)
+    assert len(calls) == 6 * 3 + 1
+
+
+def test_integrate_counts_per_segment_and_after_projection(monkeypatch):
+    fs0 = from_moments(P, D, 2)
+    calls = counted_rhs(monkeypatch)
+    traj = integrate(fs0, [(1.0, 1.0), (1.3, 1.0), (1.3, 1.4)], tol=1e-8)
+    assert len(traj) > 3 and (len(calls) - 2) % 6 == 0
+    # each segment starts with a fresh stage 1 at its own start
+    assert calls[0] == (1.0, 1.0) and (1.3, 1.0) in calls[1:]
+    # a projected step moves the state, so its stage 7 is not reused
+    projected = []
+
+    def counting_projection(fs):
+        projected.append(fs)
+        return project_constraints(fs)
+
+    monkeypatch.setattr(flow, "project_constraints", counting_projection)
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    calls.clear()
+    with pytest.raises(FlowAbort, match="budget"):
+        integrate(fs0, [(1.0, 1.0), (1.3, 1.0)], tol=1e-8, project=True)
+    assert projected and len(calls) == 6 * 3 + 1 + len(projected)
