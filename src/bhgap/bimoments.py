@@ -10,10 +10,13 @@ rescaled blocks (one factor e^-z per power of the generating variable), so
 no large exponentials ever appear in floating point.  A contour node z of
 the m-dimensional matrix needs three special-function families at the
 orders j < m: e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z) and
-e^z Gamma2(a+j; z, z).  Each family is one quadrature- or continued-fraction
-value, extended to the other orders by an exact three-term recurrence run
-in its stable direction (`_node_ladders`).  No z recurs across nodes, so the
-node cache (`_node_blocks`, keyed by (m, a, z)) holds one node.
+e^z Gamma2(a+j; z, z).  Each family is one series, continued-fraction,
+fixed-rule or (for Gamma2) adaptive-quadrature value, extended to the other
+orders by an exact three-term recurrence run in its stable direction
+(`_node_ladders`).  `_node_blocks` turns them into numpy arrays from which
+the rescaled element and border functions build all of a node's matrices
+at once.  No z recurs across nodes, so its cache, keyed by (m, a, z), holds
+one node.
 """
 from __future__ import annotations
 
@@ -144,31 +147,40 @@ def _node_ladders(m: int, a: float, z: complex):
 
 @functools.lru_cache(maxsize=1)
 def _node_blocks(m: int, a: float, z: complex):
-    """(pos, E0, E1, E2) of one contour node: the ladder pos of
-    `_node_ladders` for the border, and the element blocks as nested lists,
-    M_jk = E0[j][k] + u E1[j][k] + u^2 E2[j][k] with u = xi e^-z.  Each block
-    is purely algebraic in z (no large exponentials).
+    """(g, pos, E0, E1, E2) of one contour node as read-only numpy arrays:
+    the border entries g[j] - u pos[j], with g[j] = Gamma(a+1+j) and the
+    ladder pos of `_node_ladders`, and the m x m element blocks,
+    M_jk = E0[j, k] + u E1[j, k] + u^2 E2[j, k] with u = xi e^-z.  Each block
+    is purely algebraic in z (no large exponentials) and skew up to
+    rounding, with a zero diagonal; at m = 1 they are a single zero.
 
     Keyed by (m, a, z) and holding one node: no z recurs across nodes, and
-    every element and border entry of a node, at each of its m + 1
-    bookkeeping values u, reads the same entry."""
+    the elements and border entries of a node, at all of its m + 1
+    bookkeeping values u, read the same arrays."""
     pos, neg, g2 = _node_ladders(m, a, z)
-    if m == 1:
-        return pos, [], [], []
-    idx = np.arange(m)
     g = np.array([gamma(a + 1.0 + j) for j in range(m + 1)])  # Gamma(a+1+j), j <= m
-    zp = np.exp((a + 1.0 + np.arange(m + 1)) * cmath.log(z))  # z^(a+1+j), j <= m
-    gp, gn, g2 = np.array(pos), np.array(neg), np.array(g2)
-    gm, zm = g[:m], zp[:m]
-    jk = np.subtract.outer(idx, idx)
-    e0 = jk * np.outer(gm, gm)
-    e1 = (-jk * (np.outer(gm, gp) + np.outer(gp, gm))
-          + 2.0 * np.outer(zm, zm) * np.subtract.outer(g[1:] * gn, g[1:] * gn))
-    e2 = (jk * np.outer(gp, gp)
-          + 2.0 * (np.outer(zm, gp) - np.outer(gp, zm)
-                   + np.outer(g2, zp[1:]) - np.outer(zp[1:], g2)))
-    den = 2.0 * a + 2.0 + np.add.outer(idx, idx)
-    return pos, (e0 / den).tolist(), (e1 / den).tolist(), (e2 / den).tolist()
+    gp = np.array(pos)
+    if m == 1:
+        e0 = e1 = e2 = np.zeros((1, 1))
+    else:
+        idx = np.arange(m)
+        zp = np.exp((a + 1.0 + np.arange(m + 1)) * cmath.log(z))  # z^(a+1+j), j <= m
+        # columns; x * y.T is the outer product of x and y
+        gm, gpc, g2c = g[:m, None], gp[:, None], np.array(g2)[:, None]
+        zm, zq = zp[:m, None], zp[1:, None]
+        gn = g[1:] * np.array(neg)
+        jk = np.subtract.outer(idx, idx)
+        den = 2.0 * a + 2.0 + np.add.outer(idx, idx)
+        e0 = jk * (gm * gm.T) / den
+        e1 = (-jk * (gm * gpc.T + gpc * gm.T) + 2.0 * (zm * zm.T) * np.subtract.outer(gn, gn)) / den
+        e2 = (jk * (gpc * gpc.T) + 2.0 * (zm * gpc.T - gpc * zm.T + g2c * zq.T - zq * g2c.T)) / den
+        # vectorized complex products may round x y and y x differently, so
+        # only E2's diagonal can be nonzero; it is zero by definition
+        np.fill_diagonal(e2, 0.0)
+    out = (g[:m], gp, e0, e1, e2)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def ubh_pf_element(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
@@ -182,27 +194,28 @@ def ubh_pf_element(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
     if d.s == INF or p.xi == 0:
         return (j - k) * gamma(p.a + 1.0 + j) * gamma(p.a + 1.0 + k) / (2.0 * p.a + 2.0 + j + k)
     z = d.s
-    _, e0, e1, e2 = _node_blocks(max(p.m, j + 1, k + 1), p.a,
-                                 complex(z) if isinstance(z, complex) else float(z))
+    _, _, e0, e1, e2 = _node_blocks(max(p.m, j + 1, k + 1), p.a,
+                                    complex(z) if isinstance(z, complex) else float(z))
     u = p.xi * cmath.exp(-complex(z)) if isinstance(z, complex) else p.xi * math.exp(-z)
-    v = e0[j][k] + u * e1[j][k] + u * u * e2[j][k]
+    v = e0[j, k] + u * e1[j, k] + u * u * e2[j, k]
     if isinstance(v, complex) and v.imag == 0.0:
         return v.real
     return v
 
 
-def ubh_pf_element_rescaled(j: int, k: int, m: int, a: float, z: complex,
-                            u: complex) -> complex:
-    """Element of the m-dimensional matrix at bookkeeping variable u standing
-    for xi e^-z (Laplace path)."""
-    if j == k:
-        return 0.0
-    _, e0, e1, e2 = _node_blocks(m, a, z)
-    return e0[j][k] + u * e1[j][k] + u * u * e2[j][k]
+def ubh_pf_element_rescaled(j, k, m: int, a: float, z: complex, u):
+    """Elements M_jk of the m-dimensional matrix at the bookkeeping variable
+    u standing for xi e^-z (Laplace path).  j, k and u broadcast: index
+    arrays and an array of u give a whole stack of matrices at once."""
+    _, _, e0, e1, e2 = _node_blocks(m, a, z)
+    return e0[j, k] + u * e1[j, k] + u * u * e2[j, k]
 
 
-def ubh_pf_border_rescaled(j: int, m: int, a: float, z: complex, u: complex) -> complex:
-    return gamma(a + 1.0 + j) - u * _node_blocks(m, a, z)[0][j]
+def ubh_pf_border_rescaled(j, m: int, a: float, z: complex, u):
+    """Border entries Gamma(a+1+j) - u e^z Gamma(a+1+j, z) of the odd-m
+    matrix; j and u broadcast as in `ubh_pf_element_rescaled`."""
+    g, pos, _, _, _ = _node_blocks(m, a, z)
+    return g[j] - u * pos[j]
 
 
 def ubh_pf_matrix(p: ModelParams, d: DeformPoint) -> np.ndarray:

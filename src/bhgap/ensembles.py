@@ -187,22 +187,20 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
 # ---------------------------------------------------------------------------
 
 def _pf_poly_values(m: int, a: float, z: complex, us: np.ndarray) -> np.ndarray:
-    """Rescaled Pfaffian at the bookkeeping values u (standing for xi e^-z)."""
-    out = np.empty(len(us), dtype=complex)
-    size = m if m % 2 == 0 else m + 1
-    for iu, u in enumerate(us):
-        mat = np.zeros((size, size), dtype=complex)
-        off = size - m
-        if off:
-            for jj in range(m):
-                mat[0, jj + 1] = ubh_pf_border_rescaled(jj, m, a, z, u)
-                mat[jj + 1, 0] = -mat[0, jj + 1]
-        for jj in range(m):
-            for kk in range(jj + 1, m):
-                mat[jj + off, kk + off] = ubh_pf_element_rescaled(jj, kk, m, a, z, u)
-                mat[kk + off, jj + off] = -mat[jj + off, kk + off]
-        out[iu] = plinalg.pfaffian(mat, check_skew=False)
-    return out
+    """Rescaled Pfaffian at the bookkeeping values u (standing for xi e^-z):
+    the node's matrices at every u, bordered for odd m, as one stack with
+    one Pfaffian call."""
+    off = m % 2
+    idx = np.arange(m)
+    mats = np.zeros((len(us), m + off, m + off), dtype=complex)
+    if off:
+        border = ubh_pf_border_rescaled(idx, m, a, z, us[:, None])
+        mats[:, 0, 1:] = border
+        mats[:, 1:, 0] = -border
+    blocks = ubh_pf_element_rescaled(idx[:, None], idx, m, a, z, us[:, None, None])
+    # the lower triangle mirrors the upper one exactly
+    mats[:, off:, off:] = np.where(idx[:, None] < idx, blocks, -blocks.swapaxes(1, 2))
+    return plinalg.pfaffian(mats, check_skew=False)
 
 
 def _xi_coefficients(m: int, a: float, z: complex) -> np.ndarray:

@@ -3,24 +3,18 @@
 The moment routes take their pivoted-LU determinant, unpivoted LDU
 factorization and Parlett-Reid Pfaffian over compensated double-double
 (DD/CDD) scalars.  The float64 Pfaffian serves the Laplace-contour
-evaluations.  Both Pfaffians are skew tridiagonalizations with partial
-pivoting and exact sign tracking through the permutation parity.
+evaluations, one stack of matrices per contour node.  Both Pfaffians are
+skew tridiagonalizations with partial pivoting and exact sign tracking
+through the permutation parity.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from . import dd
 from .params import DomainError
-
-
-def _as_matrix(mat) -> np.ndarray:
-    a = np.asarray(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
-    return a
 
 
 def dd_lu_det(A):
@@ -106,36 +100,66 @@ def dd_pfaffian(A):
     return out if sign > 0 else -out
 
 
-def pfaffian(mat, check_skew: bool = True):
-    """Pfaffian of an even-order skew-symmetric matrix (Parlett-Reid).
+def _scalar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise, a complex product rounded part by part as for
+    Python and numpy scalars.  numpy's vectorized complex multiply may fuse
+    a multiply and an add, so its last bit can depend on an entry's place in
+    the array; this keeps each Pfaffian independent of its stack."""
+    if not np.iscomplexobj(x):
+        return x * y
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
-    The sign is tracked exactly through the permutation parity, so pf(M)^2 =
-    det(M) holds including sign conventions.
+
+def pfaffian(mat, check_skew: bool = True):
+    """Pfaffian of an even-order skew-symmetric matrix, or of every matrix
+    of a stack (..., n, n) (Parlett-Reid).
+
+    The stack is eliminated in one pass, each matrix with its own pivots,
+    by the same operations in the same order as a single matrix.  The sign
+    is tracked exactly through the permutation parity, so pf(M)^2 = det(M)
+    holds including sign conventions; a matrix that meets a zero pivot has
+    Pfaffian 0.  A single matrix gives a scalar, a stack an array of the
+    leading shape.
     """
-    a = _as_matrix(mat)
-    n = a.shape[0]
+    a = np.asarray(mat)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
+    n = a.shape[-1]
     if n % 2:
         raise DomainError(f"pfaffian needs even order, got {n}")
-    if n == 0:
-        return 1.0
     if check_skew:
-        scale = np.linalg.norm(a)
-        if scale > 0 and np.linalg.norm(a + a.T) > 1e-10 * scale:
+        scale = np.linalg.norm(a, axis=(-2, -1))
+        if np.any(np.linalg.norm(a + np.swapaxes(a, -1, -2), axis=(-2, -1)) > 1e-10 * scale):
             raise DomainError("matrix fails the skew-symmetry check")
-    A = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
-    pf = 1.0 + 0j if np.iscomplexobj(a) else 1.0
+    A = a.reshape((math.prod(a.shape[:-2]), n, n)).astype(complex if np.iscomplexobj(a) else float)
+    b = np.arange(len(A))
+    odd = np.zeros(len(A), dtype=bool)
+    live = np.ones(len(A), dtype=bool)
+    sup = []  # super-diagonal of the skew tridiagonal factor
     for k in range(0, n - 2, 2):
-        p = int(np.argmax(np.abs(A[k + 1:, k]))) + k + 1
-        if p != k + 1:
-            A[[k + 1, p], :] = A[[p, k + 1], :]
-            A[:, [k + 1, p]] = A[:, [p, k + 1]]
-            pf = -pf
-        piv = A[k + 1, k]
-        if piv == 0:
-            return 0.0
-        pf *= A[k, k + 1]  # super-diagonal of the skew tridiagonal factor
+        p = np.argmax(np.abs(A[:, k + 1:, k]), axis=1) + k + 1
+        perm = np.tile(np.arange(n), (len(A), 1))
+        perm[b, k + 1], perm[b, p] = p, k + 1
+        A = A[b[:, None, None], perm[:, :, None], perm[:, None, :]]
+        odd ^= p != k + 1
+        piv = A[:, k + 1, k]
+        live &= piv != 0
+        # a dead matrix's column below the pivot is zero, so dividing it by 1
+        # eliminates nothing and keeps its entries finite
+        piv = np.where(live, piv, 1.0)
+        sup.append(A[:, k, k + 1])
         for i in range(k + 2, n):
-            f = A[i, k] / piv
-            A[i, :] -= f * A[k + 1, :]
-            A[:, i] -= f * A[:, k + 1]
-    return pf * A[n - 2, n - 1]
+            f = (A[:, i, k] / piv)[:, None]
+            A[:, i, :] -= f * A[:, k + 1, :]
+            A[:, :, i] -= f * A[:, :, k + 1]
+    if n:
+        sup.append(A[:, n - 2, n - 1])
+    pf = sup[0] if sup else np.ones(len(A))
+    for d in sup[1:]:
+        pf = _scalar_product(pf, d)
+    return np.where(live, np.where(odd, -pf, pf), 0.0).reshape(a.shape[:-2])[()]

@@ -8,7 +8,10 @@ involve Gamma(a)) or by downward recurrence at integer order.
 Gamma2(a; x, y) = int_x^inf e^-u u^a (u+y)^-1 du is evaluated by adaptive
 quadrature after the shift u = x + v, with an analytic bound for the dropped
 tail.  Scaled variants e^z * f(z) exist for Laplace-contour work where the
-bare values would overflow.
+bare values would overflow.  There, for Re z < 0.5 and for orders far below
+-|z|, e^z Gamma(a, z) is the tau integral int_0^inf e^-tau (z+tau)^(a-1) dtau
+taken by one fixed composite Gauss-Kronrod rule (`_gup_tau_rule`, no
+adaptive quadrature); e^z Gamma2(a; z, z) stays adaptive.
 
 Every public function returns a SpecFunResult carrying the value and an
 absolute error estimate, so callers can propagate tolerances instead of
@@ -21,6 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from .params import INF, DomainError, PoleError
@@ -180,31 +184,80 @@ def _gup_small_z(a: float, z: complex) -> tuple[complex, float]:
     return emz * sval, abs(emz) * serr
 
 
-def _gup_quad_scaled(a: float, z: complex) -> tuple[complex, float]:
-    """e^z Gamma(a, z) = int_0^inf (z+tau)^(a-1) e^-tau dtau, z off the cut.
+# Gauss-Kronrod 21-point rule on [-1, 1] with its embedded 10-point
+# Gauss-Legendre rule (QUADPACK's qk21; Piessens et al., 1983): the
+# nonnegative abscissae in descending order and their Kronrod and Gauss
+# weights (zero where an abscissa is not a Gauss node)
+_XK21 = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+         0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+         0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK21 = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+         0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+         0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+         0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+         0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+         0.149445554002916905664936468389821)
+_WG10 = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+         0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+         0.0, 0.295524224714752870173892994651338, 0.0)
+# the rule on [0, 2], ascending: the offsets 1 + x (exact for x <= -1/2),
+# the Kronrod weights, and the Kronrod-minus-Gauss weights
+_GK_T = 1.0 + np.array(tuple(-x for x in _XK21[:-1]) + _XK21[::-1])
+_GK_W = np.array(_WK21[:-1] + _WK21[::-1])
+_GK_D = _GK_W - np.array(_WG10[:-1] + _WG10[::-1])
+# the widest tau panel: the scale on which e^-tau is resolved
+_TAU_PANEL = 8.0
 
-    full_output keeps QUADPACK's roundoff warning quiet; its error estimate
-    is returned instead."""
-    pts = [0.0]
-    if z.real < 0:
-        pts.append(-z.real)
-    hi = max(pts) + 45.0 + 10.0 * abs(a)
-    pts.append(hi)
-    pts = sorted(set(pts))
 
-    def f(tau: float) -> complex:
-        return cmath.exp((a - 1.0) * cmath.log(z + tau) - tau)
+def _tau_edges(tstar: float, s: float, top: float) -> np.ndarray:
+    """Panel edges on [0, >= top]: a panel at distance d from tstar is
+    max(d, s) wide, at most _TAU_PANEL, so the panels grade geometrically
+    toward tstar at the scale s.  Neighbouring edges near tstar are within a
+    factor 2 of each other, so their differences are exact."""
+    right, x = [tstar], tstar
+    while x < top:
+        x += min(max(x - tstar, s), _TAU_PANEL)
+        right.append(x)
+    left, x = [], tstar
+    while x > 0.0:
+        x -= min(max(tstar - x, s), _TAU_PANEL)
+        left.append(max(x, 0.0))
+    return np.array(left[::-1] + right)
 
-    val = 0j
-    err = 0.0
-    for lo, up in zip(pts[:-1], pts[1:]):
-        re, ere = quad(lambda x: f(x).real, lo, up, epsabs=0.0, epsrel=1e-12, limit=300,
-                       full_output=1)[:2]
-        im, eim = quad(lambda x: f(x).imag, lo, up, epsabs=0.0, epsrel=1e-12, limit=300,
-                       full_output=1)[:2]
-        val += re + 1j * im
-        err += ere + eim
-    tail = abs(f(hi)) * 2.0
+
+def _gup_tau_rule(c: float, z: complex) -> tuple[complex, float]:
+    """e^z Gamma(c, z) = int_0^inf e^-tau (z+tau)^(c-1) dtau, z off the cut,
+    by one fixed composite Gauss-Kronrod rule.
+
+    The integrand is analytic except at tau = -z, so on panels no wider than
+    their distance from it the rule converges geometrically (Trefethen, SIAM
+    Review 50, 2008); the panels grade toward tstar = max(-Re z, 0) at the
+    scale |z + tstar|.  Each node is an offset v from its panel's left edge
+    e, and the integrand is e^-e exp((c-1) log((z+e) + v) - v): z + e is
+    exact near tstar, so z + tau keeps its relative accuracy however close
+    tau comes to -z, and e^-tau never meets the rounding of a large tau.
+    The error estimate is the embedded Gauss rule's distance to the Kronrod
+    value, per panel, plus the rounding of the exponents and the tail past
+    the last edge."""
+    tstar = max(-z.real, 0.0)
+    s = abs(complex(z.real + tstar, z.imag))
+    e = _tau_edges(tstar, s, tstar + 45.0 + 10.0 * abs(c))
+    top = e[-1]
+    h = 0.5 * np.diff(e)[:, None]
+    v = h * _GK_T
+    lw = (c - 1.0) * np.log((z + e[:-1])[:, None] + v)
+    f = h * np.exp(-e[:-1])[:, None] * np.exp(lw - v)
+    val = complex((f @ _GK_W).sum())
+    # each exponent lw - v is off by eps times its size, at most
+    # |c-1| (|ln|z+tau|| + pi) + v with |z+tau| in [s, |z| + top] and v below
+    # a panel width
+    size = abs(c - 1.0) * (max(abs(math.log(s)), math.log(abs(z) + top)) + math.pi) + _TAU_PANEL
+    err = float(np.abs(f @ _GK_D).sum()) + _EPS * (size + 4.0) * float((np.abs(f) @ _GK_W).sum())
+    # past top >= tstar, |z + tau| grows no faster than tau and
+    # (c-1)/|z + top| < 1/2, so the tail is at most 2 e^-top |z + top|^(c-1)
+    tail = 2.0 * math.exp(-top + (c - 1.0) * math.log(abs(z + top)))
     return val, err + tail
 
 
@@ -273,7 +326,7 @@ def gamma_upper(a: float, z: complex) -> SpecFunResult:
     if abs(z) <= 2.0:
         v, err = _gup_small_z(a, z)
         return SpecFunResult(v, err + abs(v) * 4 * _EPS)
-    sv, serr = _gup_quad_scaled(a, z)
+    sv, serr = _gup_tau_rule(a, z)
     emz = cmath.exp(-z)
     return SpecFunResult(emz * sv, abs(emz) * serr)
 
@@ -293,11 +346,7 @@ def gamma_upper_scaled(a: float, z: complex) -> SpecFunResult:
             za = _powc(z, a)
             v = za * cf
             return SpecFunResult(v, abs(za) * cerr + abs(v) * 4 * _EPS)
-        steps = int(math.ceil(-a - 0.25))
-        a0 = a + steps
-        v, err = _recurse_down_scaled(a0, z, steps, _gup_base_scaled(a0, z))
-        return SpecFunResult(v, err + abs(v) * 4 * _EPS)
-    v, err = _gup_quad_scaled(a, z)
+    v, err = _gup_tau_rule(a, z)
     return SpecFunResult(v, err)
 
 

@@ -268,8 +268,10 @@ LADDER_NODES = [  # (m, a, z): nodes of fixed-trace contours and two fixed point
     *[(m, a, z) for m, a, t in [(2, 0.1, 0.46), (4, 0.9, 0.26), (8, 0.5, 0.1)]
       for z in talbot_nodes(m, a, t)[::4]],
     # every fourth node of the value and estimate hyperbolas, from s_0 t out
-    # to |z| ~ 200 (m = 2, t = 0.86) and close to the origin (m = 4, t = 0.26)
-    *[(m, a, z) for m, a, t in [(2, 0.1, 0.86), (4, 0.9, 0.26)]
+    # to |z| ~ 200 (m = 2, t = 0.86), close to the origin (m = 4, t = 0.26),
+    # and at m = 4, t = 0.86, whose real s_0 t needs e^z Gamma(-4.9, z) at an
+    # order far below -|z|
+    *[(m, a, z) for m, a, t in [(2, 0.1, 0.86), (4, 0.9, 0.26), (4, 0.9, 0.86)]
       for contour in (ensembles._VALUE_CONTOUR, ensembles._ESTIMATE_CONTOUR)
       for z in hyperbola_nodes(contour, t)[::4]],
     (12, 0.1, complex(0.7, 0.2)),

@@ -1,10 +1,12 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bhgap import dd, ensembles
+from bhgap import bimoments, dd, ensembles, plinalg, specfun
+from bhgap.bimoments import ubh_pf_border_rescaled, ubh_pf_element_rescaled
 from bhgap.ensembles import (
     Route,
     _pf_sign,
@@ -18,7 +20,8 @@ from bhgap.ensembles import (
 )
 from bhgap.oracles import quad_gap_small_m
 from bhgap.params import DeformPoint, INF, ModelParams, PrecisionWarning
-from bhgap.plinalg import dd_pfaffian
+from bhgap.plinalg import dd_pfaffian, pfaffian
+from bhgap.specfun import SpecFunResult
 
 
 def test_normalizations_m1():
@@ -198,10 +201,10 @@ def test_z_bhft_m3_saturation():
 # simplex oracle
 BHFT_GOLDEN = {
     (1, 0.5, 0.6, 0.3): (0.40000000000022595, 1.503761683292372e-12),
-    (2, 0.1, 0.6, 0.46): (0.3998611457476172, 1.660943560092892e-12),
-    (3, 0.5, 0.7, 0.31): (0.2589625322875236, 1.1633878171278208e-12),
-    (4, 0.9, 0.8, 0.6): (0.6032421842945895, 3.5363493065737154e-10),
-    (4, 0.9, 0.8, 0.26): (0.11018942970364616, 1.6715230078481525e-09),
+    (2, 0.1, 0.6, 0.46): (0.39986114574760473, 1.6537904171685228e-12),
+    (3, 0.5, 0.7, 0.31): (0.2589625322874222, 1.0339369412349371e-12),
+    (4, 0.9, 0.8, 0.6): (0.6032421843445653, 2.9334712829638354e-10),
+    (4, 0.9, 0.8, 0.26): (0.11018942964037837, 1.5181134398999714e-09),
 }
 
 
@@ -275,6 +278,68 @@ def test_z_bhft_negative_value_warns():
     messages = " ".join(str(w.message) for w in record)
     assert "stalled" in messages and "negative" in messages
     assert r.value < -r.est_error
+
+
+def pf_values_by_matrix(m, a, z, us):
+    """A node's Pfaffians one matrix and one element call at a time, the
+    lower triangle and the border's column negated copies."""
+    size = m + m % 2
+    off = size - m
+    out = []
+    for u in us:
+        mat = np.zeros((size, size), dtype=complex)
+        for j in range(m):
+            if off:
+                mat[0, j + 1] = ubh_pf_border_rescaled(j, m, a, z, u)
+                mat[j + 1, 0] = -mat[0, j + 1]
+            for k in range(j + 1, m):
+                mat[j + off, k + off] = ubh_pf_element_rescaled(j, k, m, a, z, u)
+                mat[k + off, j + off] = -mat[j + off, k + off]
+        out.append(pfaffian(mat, check_skew=False))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_xi_coefficients_match_matrix_by_matrix(m):
+    # a node builds its m + 1 matrices as one stack with one Pfaffian call;
+    # the same special-function values give the same coefficients
+    us = np.arange(m + 1, dtype=float)
+    vand = np.vander(us, m + 1, increasing=True)
+    for z in (complex(0.3, 0.4), complex(-12.5, 20.1), complex(2.0, 7.0)):
+        got = _xi_coefficients(m, 0.5, z)
+        want = np.linalg.solve(vand, pf_values_by_matrix(m, 0.5, z, us))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fixed_trace_node_keeps_traced_layers(monkeypatch):
+    # the benchmark's traced fixed-trace run needs specfun.quad calls and
+    # reads the element and Pfaffian layers: each node makes one element
+    # call and one Pfaffian call, and reaches quad only through Gamma2
+    calls = Counter()
+
+    def count(mod, name):
+        fn = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    for mod, name in ((ensembles, "_xi_coefficients"), (ensembles, "ubh_pf_element_rescaled"),
+                      (plinalg, "pfaffian"), (specfun, "quad")):
+        count(mod, name)
+    p = ModelParams(3, 0.5, 0.0, 0.7, 0.0)
+    z_bhft(p, 0.46)
+    nodes = calls["_xi_coefficients"]
+    assert nodes > 0 and calls["ubh_pf_element_rescaled"] == calls["pfaffian"] == nodes
+    assert calls["quad"] > 0
+    calls.clear()
+    monkeypatch.setattr(bimoments, "gamma2_diag_scaled", lambda a, z: SpecFunResult(0.5j, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)  # the stub's value is meaningless
+        z_bhft(p, 0.46)
+    assert calls["_xi_coefficients"] > 0 and calls["quad"] == 0
 
 
 def test_flow_route_matches_determinant():

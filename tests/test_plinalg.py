@@ -125,6 +125,37 @@ def test_pfaffian_sign_tracked():
     assert abs(got - sign * np.prod(vals)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pfaffian_stack_matches_single_calls(n):
+    # one pass over a stack, each member pivoted on its own: member 1's first
+    # sub-diagonal entry is tiny, so it swaps rows at the first step, member
+    # 2 is scaled up, and member 4 has a zero first row and column
+    rng = np.random.default_rng(40 + n)
+    stack = np.array([random_skew(n, rng, iscomplex=True) for _ in range(6)])
+    stack[1, 0, 1], stack[1, 1, 0] = 1e-3, -1e-3
+    stack[2] *= 1e3
+    stack[4, 0, :] = stack[4, :, 0] = 0.0
+    got = pfaffian(stack)
+    want = np.array([pfaffian(mat) for mat in stack])
+    scale = np.linalg.norm(stack, axis=(1, 2)) ** (n // 2)
+    assert got.shape == (6,)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert np.all(np.abs(got * got - np.linalg.det(stack)) <= 1e-12 * scale ** 2)
+    assert (got == 0).tolist() == [False, False, False, False, True, False]
+
+
+def test_pfaffian_stack_shape_and_checks():
+    rng = np.random.default_rng(9)
+    stack = np.array([random_skew(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    got = pfaffian(stack)
+    assert got.shape == (2, 3)
+    assert got[1, 2] == pfaffian(stack[1, 2])
+    stack[0, 1, 0, 1] += 1.0
+    with pytest.raises(DomainError):
+        pfaffian(stack)
+    assert pfaffian(np.zeros((3, 0, 0))).tolist() == [1.0, 1.0, 1.0]
+
+
 @given(st.integers(2, 5).map(lambda k: 2 * k))
 @settings(max_examples=20, deadline=None)
 def test_det_multiplicative(n):

@@ -1,12 +1,15 @@
+import cmath
 import math
+import random
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
-from bhgap import dd
+from bhgap import dd, ensembles, specfun
 from bhgap.params import DomainError, PoleError
 from bhgap.specfun import (
     gamma,
@@ -125,6 +128,99 @@ def test_gamma_upper_scaled_tiny_values(a, z):
     got = gamma_upper_scaled(a, z)
     assert relerr(got.value, want) <= 1e-13
     assert abs(got.value - want) <= got.est_abs_error
+
+
+def mp_gup_scaled(a, z):
+    zz = mp.mpmathify(z)
+    return complex(mp.exp(zz) * mp.gammainc(mp.mpf(a), zz, mp.inf))
+
+
+def quad_tau_scaled(c, z):
+    """e^z Gamma(c, z) by adaptive QUADPACK quadrature of the tau integral
+    on [0, -Re z] and on to the truncation point, relative tolerance 1e-12:
+    the evaluation the fixed tau rule replaced, kept as the reference it must
+    not fall behind."""
+    f = lambda tau: cmath.exp((c - 1.0) * cmath.log(z + tau) - tau)
+    pts = sorted({0.0, max(-z.real, 0.0)})
+    pts.append(pts[-1] + 45.0 + 10.0 * abs(c))
+    val = 0j
+    for lo, up in zip(pts[:-1], pts[1:]):
+        for unit, part in ((1.0, lambda x: f(x).real), (1j, lambda x: f(x).imag)):
+            val += unit * quad(part, lo, up, epsabs=0.0, epsrel=1e-12, limit=300, full_output=1)[0]
+    return val
+
+
+def test_gamma_upper_scaled_real_below_order():
+    # Re z >= 0.5 with an order well below -|z|: the neg[3] seed of the
+    # m = 4, a = 0.9, t = 0.86 value contour at s_0 t, 1.0e-12 off by
+    # downward recursion from the fractional base order
+    a, z = -4.9, 8.761301324157845
+    want = mp_gup_scaled(a, z)
+    got = gamma_upper_scaled(a, z)
+    assert relerr(got.value, want) <= 1e-14
+    assert abs(got.value - want) <= got.est_abs_error
+
+
+def hyperbola_nodes(contour, t, nodes):
+    """The nodes z = s_j t, j = 0..nodes, of one of z_bhft's hyperbolas."""
+    alpha, mu_per_node, h_nodes = contour
+    mu, h = mu_per_node * nodes, h_nodes / nodes
+    return [mu * (1.0 + cmath.sin(complex(-alpha, j * h))) * t for j in range(nodes + 1)]
+
+
+@pytest.mark.parametrize("m, a", [(2, 0.1), (3, 0.5), (4, 0.9)])
+def test_gamma_upper_scaled_on_fixed_trace_contours(m, a):
+    # every argument with Re z < 0.5 at which a node of the value or the
+    # estimate contour, at 32, 40 and 48 nodes, calls gamma_upper_scaled:
+    # e^z Gamma(a+1, z) and the negative-order seed; m, a and the t band
+    # centres are the fixed-trace benchmark's
+    worst = 0.0
+    for t in (0.26, 0.315, 0.375, 0.465, 0.605, 0.855):
+        for nodes in (32, 40, 48):
+            for contour in (ensembles._VALUE_CONTOUR, ensembles._ESTIMATE_CONTOUR):
+                for z in hyperbola_nodes(contour, t, nodes):
+                    if z.real >= 0.5:
+                        continue
+                    top = min(max(round(abs(z) - a - 1.0), 0), m - 1)
+                    for order in (a + 1.0, -a - 1.0 - top):
+                        want = mp_gup_scaled(order, z)
+                        got = gamma_upper_scaled(order, z)
+                        assert abs(got.value - want) <= got.est_abs_error, (order, z)
+                        worst = max(worst, relerr(got.value, want))
+    assert worst <= 1e-13
+
+
+def test_gamma_upper_scaled_off_contour_grid():
+    # a seeded grid off the contours, down to |Im z| = 1e-3 next to the cut,
+    # where the integrand peaks sharply at tau = -Re z: the fixed rule never
+    # falls behind adaptive quadrature and never misses its own estimate
+    rng = random.Random(2024)
+    cases = [(-4.45, complex(-19.5, -0.007))]
+    for _ in range(80):
+        y = 10.0 ** rng.uniform(-3.0, math.log10(200.0)) * rng.choice((-1.0, 1.0))
+        cases.append((rng.uniform(-6.0, 2.5), complex(rng.uniform(-150.0, 0.5), y)))
+    for c, z in cases:
+        want = mp_gup_scaled(c, z)
+        got = gamma_upper_scaled(c, z)
+        err = abs(got.value - want)
+        assert err <= max(10.0 * abs(quad_tau_scaled(c, z) - want), 1e-13 * abs(want)), (c, z)
+        assert err <= got.est_abs_error, (c, z)
+
+
+def test_gamma_upper_scaled_never_calls_quad(monkeypatch):
+    # e^z Gamma(a, z) is adaptive-quadrature free on every branch: series,
+    # continued fraction and the fixed tau rule (Re z < 0.5, or an order far
+    # below -|z|); only Gamma2 still integrates adaptively
+    def refuse(*args, **kwargs):
+        raise AssertionError("specfun.quad called")
+
+    monkeypatch.setattr(specfun, "quad", refuse)
+    for a, z in [(3.5, complex(1.2, 0.4)), (1.5, complex(6.0, 2.0)), (-4.9, 8.761301324157845),
+                 (-4.5, complex(2.0, 7.0)), (1.9, complex(0.3, 1e-3)), (-2.5, complex(-30.0, 8.0)),
+                 (-4.9, complex(-224.0, 44.6)), (-6.5, complex(-569.0, 113.0))]:
+        assert relerr(gamma_upper_scaled(a, z).value, mp_gup_scaled(a, z)) <= 1e-13
+    assert relerr(gamma_upper(1.5, complex(-20.0, 3.0)).value,
+                  mp_gup(1.5, complex(-20.0, 3.0))) <= 1e-12
 
 
 @given(
