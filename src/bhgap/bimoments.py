@@ -1,12 +1,11 @@
-"""Closed-form deformed bi-moments and the unconstrained Bures-Hall Pfaffian elements.
+"""Exponentially rescaled Pfaffian elements of the one-species (Bures-Hall)
+ensemble at complex cutoffs, for the fixed-trace Laplace inversion.
 
-The bi-moment M_{j,k}(s,t;a,b;xi,psi) depends on the exponents only through
-a+j and b+k, so everything is memoized on the shifted pair.  The +inf
-sentinel in (s, t) short-circuits to the undeformed Laguerre formulas.
-
-For the Laplace-inversion path the cutoff argument z is complex with
-Re z << 0 possible; the UBH elements are then assembled from exponentially
-rescaled blocks (one factor e^-z per power of the generating variable), so
+Every deformed bi-moment at a real cutoff comes from one source, the
+double-double Gram `bops._dd_gram`; this module holds only what that Gram
+cannot serve, the contour nodes.  There the cutoff argument z is complex
+with Re z << 0 possible, so the elements are assembled from exponentially
+rescaled blocks (one factor e^-z per power of the generating variable) and
 no large exponentials ever appear in floating point.  A contour node z of
 the m-dimensional matrix needs three special-function families at the
 orders j < m: e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z) and
@@ -22,90 +21,10 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 
 import numpy as np
 
-from .params import INF, DeformPoint, DomainError, ModelParams
-from .specfun import (
-    gamma_lower,
-    gamma,
-    gamma2,
-    gamma2_diag_scaled,
-    gamma_upper,
-    gamma_upper_scaled,
-)
-
-
-@functools.lru_cache(maxsize=100000)
-def _alpha_shifted(A: float, xi: complex, s) -> complex:
-    """Deformed univariate moment Gamma(A+1) - xi Gamma(A+1, s).
-
-    Assembled as (1 - xi) Gamma + xi gamma_lower: for cutoffs well below the
-    order the direct subtraction would cancel to nothing.
-    """
-    if xi == 0 or s == INF:
-        return gamma(A + 1.0)
-    val = (1.0 - xi) * gamma(A + 1.0) + xi * gamma_lower(A + 1.0, s).value
-    if isinstance(val, complex) and val.imag == 0.0:
-        return val.real
-    return val
-
-
-def alpha_moment(j: int, p: ModelParams, d: DeformPoint) -> complex:
-    """x-species deformed moment of order j."""
-    if j < 0:
-        raise DomainError(f"moment order must be >= 0, got {j}")
-    return _alpha_shifted(p.a + j, p.xi, d.s)
-
-
-def beta_moment(k: int, p: ModelParams, d: DeformPoint) -> complex:
-    """y-species mirror of alpha_moment."""
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
-    return _alpha_shifted(p.b + k, p.psi, d.t)
-
-
-@functools.lru_cache(maxsize=100000)
-def _bimoment_shifted(A: float, B: float, s, t, xi: complex, psi: complex) -> complex:
-    if not (A > -1.0 and B > -1.0):
-        raise DomainError(f"bimoment needs shifted exponents > -1, got ({A}, {B})")
-    if A + B + 1.0 <= 0.0:
-        raise DomainError(
-            f"bimoment diverges at the origin for A+B+1 = {A + B + 1.0} <= 0")
-    xi_off = xi == 0 or s == INF
-    psi_off = psi == 0 or t == INF
-    val = _alpha_shifted(A, 0.0 if xi_off else xi, s) * _alpha_shifted(B, 0.0 if psi_off else psi, t)
-    if not xi_off:
-        inner = gamma(B + 1.0) * math.exp(s) * s ** B * gamma_upper(-B, s).value
-        if not psi_off:
-            inner = inner - psi * gamma2(B, t, s).value
-        val = val + xi * s ** (A + 1.0) * math.exp(-s) * inner
-    if not psi_off:
-        inner = gamma(A + 1.0) * math.exp(t) * t ** A * gamma_upper(-A, t).value
-        if not xi_off:
-            inner = inner - xi * gamma2(A, s, t).value
-        val = val + psi * t ** (B + 1.0) * math.exp(-t) * inner
-    return val / (A + B + 1.0)
-
-
-def bimoment(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
-    """Deformed bi-moment M_{j,k}(s,t;a,b;xi,psi) by the closed form."""
-    if j < 0 or k < 0:
-        raise DomainError("bimoment indices must be >= 0")
-    v = _bimoment_shifted(p.a + j, p.b + k, d.s, d.t, complex(p.xi), complex(p.psi))
-    if v.imag == 0.0:
-        return v.real
-    return v
-
-
-# ---------------------------------------------------------------------------
-# unconstrained Bures-Hall (single species; uses a, xi, s only)
-# ---------------------------------------------------------------------------
-
-def ubh_pf_border(j: int, p: ModelParams, d: DeformPoint) -> complex:
-    """Border entry for odd dimension; equals the deformed univariate moment."""
-    return alpha_moment(j, p, d)
+from .specfun import gamma, gamma2_diag_scaled, gamma_upper_scaled
 
 
 def _node_ladders(m: int, a: float, z: complex):
@@ -183,26 +102,6 @@ def _node_blocks(m: int, a: float, z: complex):
     return out
 
 
-def ubh_pf_element(j: int, k: int, p: ModelParams, d: DeformPoint) -> complex:
-    """Skew Pfaffian matrix element M^UB-H_{j,k} of the one-species ensemble.
-
-    The closed form carries an overall factor 1/(2a+2+j+k) relative to the
-    raw three-block numerator; the diagonal vanishes identically.
-    """
-    if j == k:
-        return 0.0
-    if d.s == INF or p.xi == 0:
-        return (j - k) * gamma(p.a + 1.0 + j) * gamma(p.a + 1.0 + k) / (2.0 * p.a + 2.0 + j + k)
-    z = d.s
-    _, _, e0, e1, e2 = _node_blocks(max(p.m, j + 1, k + 1), p.a,
-                                    complex(z) if isinstance(z, complex) else float(z))
-    u = p.xi * cmath.exp(-complex(z)) if isinstance(z, complex) else p.xi * math.exp(-z)
-    v = e0[j, k] + u * e1[j, k] + u * u * e2[j, k]
-    if isinstance(v, complex) and v.imag == 0.0:
-        return v.real
-    return v
-
-
 def ubh_pf_element_rescaled(j, k, m: int, a: float, z: complex, u):
     """Elements M_jk of the m-dimensional matrix at the bookkeeping variable
     u standing for xi e^-z (Laplace path).  j, k and u broadcast: index
@@ -218,29 +117,5 @@ def ubh_pf_border_rescaled(j, m: int, a: float, z: complex, u):
     return g[j] - u * pos[j]
 
 
-def ubh_pf_matrix(p: ModelParams, d: DeformPoint) -> np.ndarray:
-    """The Pfaffian matrix: m x m for even m, bordered (m+1) x (m+1) for odd m."""
-    m = p.m
-    if m % 2 == 0:
-        out = np.zeros((m, m), dtype=complex)
-        for j in range(m):
-            for k in range(j + 1, m):
-                out[j, k] = ubh_pf_element(j, k, p, d)
-                out[k, j] = -out[j, k]
-    else:
-        out = np.zeros((m + 1, m + 1), dtype=complex)
-        for j in range(m):
-            out[0, j + 1] = ubh_pf_border(j, p, d)
-            out[j + 1, 0] = -out[0, j + 1]
-            for k in range(j + 1, m):
-                out[j + 1, k + 1] = ubh_pf_element(j, k, p, d)
-                out[k + 1, j + 1] = -out[j + 1, k + 1]
-    if np.all(out.imag == 0.0):
-        return out.real
-    return out
-
-
 def clear_caches() -> None:
-    _alpha_shifted.cache_clear()
-    _bimoment_shifted.cache_clear()
     _node_blocks.cache_clear()

@@ -5,9 +5,12 @@ the bimoment (Gram) matrix, M = L diag(h) U: the rows of L^-1 are the monic
 P_n, the columns of U^-1 the monic Q_n, h_n = <P_n, Q_n> and Z_n = h_0 ...
 h_{n-1} (Bertola-Gekhtman-Szmigielski, "Cauchy biorthogonal polynomials",
 J. Approx. Theory 2010).  The bordered-determinant representation is kept as
-a test identity, not the algorithm.  Associated functions of the first type
-are built by the moment recursion on Cauchy-transform integrals; the base
-case is the Stieltjes transform expressed through Gamma2.
+a test identity, not the algorithm.  Every moment comes from one source, the
+double-double Gram `_dd_gram`: the bi-moments M_jk (read one at a time by
+`inner_product`) and the univariate alpha_j and beta_k chains.  Associated
+functions of the first type are built by the moment recursion on
+Cauchy-transform integrals over those chains; the base case is the
+Stieltjes transform expressed through Gamma2.
 
 All triple-valued data is exposed both in natural index order (n-1, n, n+1)
 on the state and as 3-vectors ordered [n+1, n, n-1] to match the transfer
@@ -23,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import dd, plinalg
-from .bimoments import alpha_moment, beta_moment
 from .params import INF, DeformPoint, DomainError, GenericityError, ModelParams
 from .specfun import gamma, gamma2, gamma2_boxed, gamma2_boxed_dd, gamma_upper
 
@@ -112,6 +114,15 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     powers, and the shift chain of the two-variable extension.  The first
     moment row comes from the blocks' closed forms; higher rows use the then
     exact rank-1 fill M_{j+1,k} = alpha_j beta_k - M_{j,k+1}.
+
+    hi_fidelity also builds the weight powers and the Gamma2 seeds in DD
+    (`gamma2_boxed_dd`).  The float64 default (`gamma2_boxed`) is the lo-fi
+    Gram, which stays until every Gram is built in DD.
+
+    Returns (M, alpha, beta, iscomplex): the size x size Gram and the alpha
+    and beta chains, longer than size, as DD lists.  M_00 is NaN where it
+    diverges, a + b + 1 <= 0: the Pfaffian route's equal-species Gram never
+    reads it, and the other readers raise (`_require_integrable`).
     """
     iscomplex = isinstance(p.xi, complex) or isinstance(p.psi, complex)
     K = 2 * size + 13  # a margin of chain steps drowns the top-seed errors
@@ -162,8 +173,10 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
             return [zero] * K
         term = dd.wrap(1.0, iscomplex) / (a0dd + w(float(K)))
         acc = term
-        n = 0
-        while abs(dd.unwrap(term)) > 1e-34 * abs(dd.unwrap(acc)) and n < 400:
+        # the terms grow while n < c - A - K and the sum needs about
+        # c + 12 sqrt(c) of them, so the cap grows with the cutoff c
+        n, cap = 0, 400 + 2 * int(abs(dd.unwrap(cutdd)))
+        while abs(dd.unwrap(term)) > 1e-34 * abs(dd.unwrap(acc)) and n < cap:
             n += 1
             term = term * cutdd / (a0dd + w(float(K + n)))
             acc = acc + term
@@ -220,7 +233,8 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         if not (xi_off or psi_off):
             num = num + xi_dd * psi_dd * (LGA[0] * LGB[k] + wsp[0] * lam2[k]
                                           + wtp[k] * cst)
-        row0.append(num / den)
+        # M_00 diverges at the origin unless a + b + 1 > 0
+        row0.append(num / den if k or a + b + 1.0 > 0.0 else w(math.nan))
     rows = [row0]
     for j in range(size - 1):
         prev = rows[-1]
@@ -229,11 +243,19 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     return Mdd, aldd, bedd, iscomplex
 
 
+def _require_integrable(p: ModelParams) -> None:
+    """DomainError unless the two-species weight x^a y^b e^(-x-y) / (x+y)
+    is integrable at the origin, a + b + 1 > 0; otherwise M_00 diverges."""
+    if not p.a + p.b + 1.0 > 0.0:
+        raise DomainError(f"the bi-moment M_00 diverges for a + b + 1 = {p.a + p.b + 1.0} <= 0")
+
+
 @lru_cache(maxsize=4096)
 def _ldu(p: ModelParams, d: DeformPoint, size: int):
     """Unpivoted DD factorization M = L diag(h) U of _dd_gram(p, d, size):
     the rows of L^-1 are the monic P_n, the columns of U^-1 the monic Q_n,
     and h_n = <P_n, Q_n>, so that Z_n = h_0 ... h_{n-1}."""
+    _require_integrable(p)
     return plinalg.dd_ldu(_dd_gram(p, d, size)[0])
 
 
@@ -310,8 +332,10 @@ def inner_product(p: ModelParams, d: DeformPoint, pc: np.ndarray, qc: np.ndarray
 
     Accumulated in compensated arithmetic: the monomial terms cancel down
     from eps * kappa(Gram) scale, which would swamp the result near
-    orthogonality otherwise.
+    orthogonality otherwise.  With unit coefficients this is the Gram entry
+    M_{xshift, yshift}.
     """
+    _require_integrable(p)
     iscomplex = any(isinstance(v, complex) for v in (*pc, *qc)) \
         or isinstance(p.xi, complex) or isinstance(p.psi, complex)
     Mdd, _, _, gram_cx = _dd_gram(p, d, max(len(pc) + xshift, len(qc) + yshift))
@@ -347,8 +371,14 @@ def build_state(p: ModelParams, d: DeformPoint, n: int) -> BopsState:
     return BopsState(n, p, d, s_tr, pi_tr, eta_tr, xnn, ynn, p_tr, q_tr)
 
 
+def _check_species(species: str) -> None:
+    if species not in ("x", "y"):
+        raise DomainError(f"species must be 'x' or 'y', got {species!r}")
+
+
 def poly_coeffs(p: ModelParams, d: DeformPoint, n: int, species: str = "x") -> np.ndarray:
     """Normalized coefficients of P_n (species 'x') or Q_n (species 'y')."""
+    _check_species(species)
     _, Pc, Qc, _, _, _, _, _ = _system(p, d, max(n, 1))
     return np.array(Pc[n] if species == "x" else Qc[n])
 
@@ -400,18 +430,19 @@ def assoc1(poly, z, p: ModelParams, d: DeformPoint, species: str = "x"):
     """First-type associated value int w(x) poly(x) / (z - x) dx.
 
     Runs the moment recursion I_j = z I_{j-1} - mu_{j-1} upward from the
-    Stieltjes value I_0; stable for z in the left half line used here.
+    Stieltjes value I_0; stable for z in the left half line used here.  The
+    moments mu_j are the Gram's alpha (species 'x') or beta ('y') chain.
     """
+    _check_species(species)
     coeffs = poly.coeffs if isinstance(poly, PolyCoeffs) else tuple(poly)
+    _, aldd, bedd, _ = _dd_gram(p, d, len(coeffs))
     if species == "x":
-        cur = stieltjes_f1(z, p, d)
-        mom = lambda j: alpha_moment(j, p, d)
+        cur, moments = stieltjes_f1(z, p, d), aldd
     else:
-        cur = stieltjes_f2(z, p, d)
-        mom = lambda k: beta_moment(k, p, d)
+        cur, moments = stieltjes_f2(z, p, d), bedd
     out = coeffs[0] * cur
     for j in range(1, len(coeffs)):
-        cur = z * cur - mom(j - 1)
+        cur = z * cur - dd.unwrap(moments[j - 1])
         out += coeffs[j] * cur
     return out
 

@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from . import __version__, ensembles, flow as flowmod, oracles
-from .bops import build_state, recurrence_coeffs
+from . import __version__, dd, ensembles, flow as flowmod, oracles
+from .bops import _dd_gram, build_state, recurrence_coeffs
 from .kernels import anti_incidence_residuals, cd_bilinear, cd_form_00, kernel_sum, sigma_tau
 from .lax import build_lax, pairwise_trace_residuals, residue_invariants, schlesinger_residuals
 from .params import DeformPoint, ModelParams, PrecisionWarning
@@ -221,17 +221,19 @@ _VERIFY_TOLS = {
 
 def verify_residuals(p: ModelParams, d: DeformPoint, nmax: int = 3,
                      perturb: bool = False) -> dict:
-    """Max residuals of the named identity suites at one deformation point."""
-    from .bimoments import alpha_moment, beta_moment, bimoment
+    """Max residuals of the named identity suites at one deformation point.
 
+    rank1_cauchy compares the Gram with the transpose of its species-swapped
+    twin, j, k < 4.  Rows j >= 1 of a Gram come from the rank-1 Cauchy fill
+    M_{j+1,k} + M_{j,k+1} = alpha_j beta_k and the twin's row 0 from the
+    closed forms, so agreement checks the relation against the closed forms.
+    """
     out = {}
-    r = 0.0
-    for j in range(3):
-        for k in range(3):
-            lhs = bimoment(j + 1, k, p, d) + bimoment(j, k + 1, p, d)
-            rhs = alpha_moment(j, p, d) * beta_moment(k, p, d)
-            r = max(r, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    out["rank1_cauchy"] = r
+    gram = _dd_gram(p, d, 4)[0]
+    twin = _dd_gram(p.swapped(), d.swapped(), 4)[0]
+    out["rank1_cauchy"] = max(
+        abs(dd.unwrap(gram[j][k]) - dd.unwrap(twin[k][j])) / max(abs(dd.unwrap(gram[j][k])), 1e-30)
+        for j in range(4) for k in range(4))
     rng = np.random.default_rng(0)
     r = 0.0
     for n in range(1, nmax + 1):

@@ -83,10 +83,12 @@ def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
     and a bare float64 determinant of rounded entries loses all digits there.
     The determinant is the pivoted one: the unpivoted factorization the
     bi-orthogonal data read is stable only where the Gram is totally
-    positive, which fails for complex xi or psi.
+    positive, which fails for complex xi or psi.  DomainError for
+    a + b + 1 <= 0, where the weight is not integrable at the origin.
     """
-    from .bops import _dd_gram
+    from .bops import _dd_gram, _require_integrable
 
+    _require_integrable(p)
     c, _, _ = normalizations(p)
 
     def go(hi_fidelity):

@@ -131,6 +131,8 @@ def quad_gap_small_m(p: ModelParams, d: DeformPoint, ensemble: str = "cl2m") -> 
     """
     if ensemble == "bhft":
         return _quad_bhft(p, d)
+    if ensemble != "cl2m":
+        raise DomainError(f"ensemble must be 'cl2m' or 'bhft', got {ensemble!r}")
     if p.m == 1:
         num = quad_bimoment(0, 0, p, d)
         return OracleEstimate(num.value / _cl2m_norm_quad_m1(p.a, p.b), 0.0, 0)

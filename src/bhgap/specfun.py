@@ -266,28 +266,6 @@ def _cf_is_safe(a: float, z: complex) -> bool:
     return a >= 0.0 or abs(z) >= 1.5 * (-a) + 2.0
 
 
-def gamma_lower(a: float, z: complex) -> SpecFunResult:
-    """Lower incomplete gamma(a, z) for a > 0 via the ascending series;
-    cancellation-free where Gamma(a) - Gamma(a, z) would lose digits."""
-    if not a > 0:
-        raise DomainError(f"gamma_lower needs a > 0, got a={a}")
-    z = complex(z)
-    if z == 0:
-        return SpecFunResult(0.0, 0.0)
-    if _on_cut(z):
-        raise DomainError(f"gamma_lower branch cut: z={z}")
-    if z.imag == 0.0 and z.real < a + 1.0:
-        v, err = _lower_series(a, z)
-        return _as_real(v, err)
-    if z.imag == 0.0:
-        up = gamma_upper(a, z)
-        g = math.gamma(a)
-        return SpecFunResult(g - complex(up.value).real,
-                             up.est_abs_error + g * _EPS)
-    v, err = _lower_series(a, z)
-    return SpecFunResult(v, err)
-
-
 def gamma_upper(a: float, z: complex) -> SpecFunResult:
     """Principal-branch Gamma(a, z); a real (any sign), z off (-inf, 0]."""
     z = complex(z)
@@ -421,6 +399,9 @@ def gamma2(a: float, x: float, y: complex) -> SpecFunResult:
 
     Needs x >= 0, a > -1 when x = 0, and x + y > 0 for real y (otherwise the
     pole at u = -y sits on the integration path).  x = +inf returns 0.
+    Adaptive quadrature rather than a DD chain, because y may be complex:
+    the Stieltjes seeds of `bops.assoc1` are evaluated at complex z by
+    `kernels.anti_incidence_residuals`.
     """
     if x == INF:
         return SpecFunResult(0.0, 0.0)
@@ -531,7 +512,10 @@ def _gamma2_boxed_cached(a: float, x: float, y: float) -> SpecFunResult:
 
 def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
     """int_0^x e^-u u^a (u+y)^-1 du, the boxed companion of gamma2
-    (gamma2(a;0,y) = gamma2_boxed(a,x,y) + gamma2(a;x,y))."""
+    (gamma2(a;0,y) = gamma2_boxed(a,x,y) + gamma2(a;x,y)).
+
+    The float64 seed of the lo-fi Gram (`bops._dd_gram` without
+    hi_fidelity); kept until every Gram is built in double-double."""
     if not (x >= 0.0 and y > 0.0):
         raise DomainError(f"gamma2_boxed needs x >= 0, y > 0, got ({x}, {y})")
     if not a > -1.0:

@@ -6,16 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bhgap import bimoments, ensembles
-from bhgap.bimoments import (
-    alpha_moment,
-    beta_moment,
-    bimoment,
-    ubh_pf_border,
-    ubh_pf_element,
-    ubh_pf_element_rescaled,
-    ubh_pf_matrix,
-)
+from bhgap import bimoments, bops, dd, ensembles
+from bhgap.bimoments import ubh_pf_border_rescaled, ubh_pf_element_rescaled
 from bhgap.params import INF, DeformPoint, DomainError, ModelParams
 from bhgap.specfun import SpecFunResult
 
@@ -25,8 +17,7 @@ mp.mp.dps = 25
 def mp_bimoment(j, k, p, d):
     """Independent 2D quadrature of the deformed bi-moment."""
     A, B = mp.mpf(p.a + j), mp.mpf(p.b + k)
-    s, t, xi, psi = p and d.s, d.t, p.xi, p.psi
-    s = d.s
+    s, t, xi, psi = d.s, d.t, p.xi, p.psi
     U = 50
 
     def inner(x):
@@ -43,8 +34,29 @@ def mp_bimoment(j, k, p, d):
     return complex(v)
 
 
-P = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
 D = DeformPoint(1.0, 1.0)
+
+
+def bimoment(j, k, p, d):
+    """The Gram entry M_jk."""
+    return bops.inner_product(p, d, [1.0], [1.0], j, k)
+
+
+def alpha_moment(j, p, d):
+    """The x-species deformed moment alpha_j of the Gram's chain."""
+    return dd.unwrap(bops._dd_gram(p, d, 1)[1][j])
+
+
+def ubh_element(j, k, a, xi, s):
+    """The one-species element M_jk at a real cutoff s, from the rescaled
+    blocks with u = xi e^-s."""
+    return ubh_pf_element_rescaled(j, k, max(j, k) + 1, a, complex(s), xi * math.exp(-s))
+
+
+def equal_species_difference(j, k, a, xi, s):
+    """M_{j+1,k} - M_{j,k+1} of the equal-species Gram."""
+    p, d = ModelParams(m=2, a=a, b=a, xi=xi, psi=xi), DeformPoint(s, s)
+    return bimoment(j + 1, k, p, d) - bimoment(j, k + 1, p, d)
 
 
 def test_alpha_moment_deformation_off():
@@ -106,13 +118,16 @@ def test_bimoment_origin_divergence_rejected():
 @pytest.mark.parametrize("xps", [(0.0, 0.5), (0.5, 1.0), (1.0, 1.0)])
 @pytest.mark.parametrize("st", [(0.5, 2.0), (2.0, 0.5)])
 def test_rank1_cauchy_identity(ab, xps, st):
+    # rows j >= 1 come from the rank-1 fill M_{j+1,k} + M_{j,k+1} =
+    # alpha_j beta_k, and the swapped Gram's row 0 from the closed forms, so
+    # the swapped transpose checks the relation against the closed forms
     p = ModelParams(m=2, a=ab[0], b=ab[1], xi=xps[0], psi=xps[1])
     d = DeformPoint(*st)
     for j in range(4):
         for k in range(4):
-            lhs = bimoment(j + 1, k, p, d) + bimoment(j, k + 1, p, d)
-            rhs = alpha_moment(j, p, d) * beta_moment(k, p, d)
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
+            want = bimoment(j, k, p, d)
+            got = bimoment(k, j, p.swapped(), d.swapped())
+            assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
 
 
 def test_species_exchange():
@@ -136,30 +151,25 @@ def test_mixed_partials_law():
 
 
 def test_ubh_diagonal_vanishes():
-    assert ubh_pf_element(2, 2, P, D) == 0.0
+    assert ubh_element(2, 2, 0.0, 1.0, 1.0) == 0.0
 
 
 def test_ubh_undeformed_reduction():
-    p0 = ModelParams(m=2, a=0.5, b=0.0, xi=0.0)
-    j, k = 0, 1
-    want = (j - k) * math.gamma(p0.a + 1 + j) * math.gamma(p0.a + 1 + k) / (2 * p0.a + 2 + j + k)
-    assert abs(ubh_pf_element(j, k, p0, D) - want) <= 1e-13 * abs(want)
+    a, j, k = 0.5, 0, 1
+    want = (j - k) * math.gamma(a + 1 + j) * math.gamma(a + 1 + k) / (2 * a + 2 + j + k)
+    assert abs(ubh_element(j, k, a, 0.0, 1.0) - want) <= 1e-13 * abs(want)
 
 
 def test_ubh_element_vs_bimoment_difference():
     # M^UB-H_jk = N_{j+1,k} - N_{j,k+1} with equal-species deformed bi-moments
-    p = ModelParams(m=2, a=0.5, b=0.5, xi=1.0, psi=1.0)
-    d = DeformPoint(1.0, 1.0)
     for j, k in [(0, 1), (1, 2), (0, 3)]:
-        got = ubh_pf_element(j, k, p, d)
-        want = bimoment(j + 1, k, p, d) - bimoment(j, k + 1, p, d)
+        got = ubh_element(j, k, 0.5, 1.0, 1.0)
+        want = equal_species_difference(j, k, 0.5, 1.0, 1.0)
         assert abs(got - want) <= 1e-11 * abs(want)
 
 
 def test_ubh_element_vs_quadrature():
     a, s, xi = 0.5, 1.0, 1.0
-    p = ModelParams(m=2, a=a, b=0.0, xi=xi)
-    d = DeformPoint(s, s)
     w = lambda x: (1 - xi * (x > s)) * x ** mp.mpf(a) * mp.e ** (-x)
     U = 50
 
@@ -167,30 +177,30 @@ def test_ubh_element_vs_quadrature():
         inner = lambda x: mp.quad(lambda y: w(y) * (x - y) / (x + y) * y ** k, [0, s, U])
         return complex(mp.quad(lambda x: w(x) * x ** j * inner(x), [0, s, U]))
 
-    got = ubh_pf_element(0, 1, p, d)
+    got = ubh_element(0, 1, a, xi, s)
     assert abs(got - elem(0, 1)) <= 1e-8 * abs(elem(0, 1))
 
 
 def test_ubh_skew_symmetry_and_matrix():
-    p = ModelParams(m=4, a=0.5, b=0.0, xi=0.8)
-    d = DeformPoint(2.0, 2.0)
-    m = ubh_pf_matrix(p, d)
+    a, xi, s = 0.5, 0.8, 2.0
+    u = xi * math.exp(-s)
+    idx = np.arange(4)
+    m = ubh_pf_element_rescaled(idx[:, None], idx, 4, a, complex(s), u)
     assert m.shape == (4, 4)
     assert np.linalg.norm(m + m.T) <= 1e-11 * np.linalg.norm(m)
-    p3 = ModelParams(m=3, a=0.5, b=0.0, xi=0.8)
-    m3 = ubh_pf_matrix(p3, d)
-    assert m3.shape == (4, 4)
-    assert abs(m3[0, 1] - ubh_pf_border(0, p3, d)) == 0.0
+    # the odd-m border is the deformed univariate moment alpha_j
+    p3 = ModelParams(m=3, a=a, b=a, xi=xi, psi=xi)
+    border = ubh_pf_border_rescaled(np.arange(3), 3, a, complex(s), u)
+    for j in range(3):
+        want = alpha_moment(j, p3, DeformPoint(s, s))
+        assert abs(border[j] - want) <= 1e-13 * abs(want)
 
 
 def test_ubh_rescaled_consistency_at_real_z():
-    # with u = xi e^-z the rescaled element reproduces the plain one
+    # with u = xi e^-z the rescaled element reproduces the Gram difference
     a, z, xi = 0.5, 1.5, 0.7
-    p = ModelParams(m=2, a=a, b=0.0, xi=xi)
-    d = DeformPoint(z, z)
-    u = xi * math.exp(-z)
-    got = ubh_pf_element_rescaled(0, 1, 2, a, complex(z), u)
-    want = ubh_pf_element(0, 1, p, d)
+    got = ubh_element(0, 1, a, xi, z)
+    want = equal_species_difference(0, 1, a, xi, z)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bhgap import bops, dd, plinalg
-from bhgap.bimoments import alpha_moment, bimoment
 from bhgap.bops import (
     assoc1,
     build_state,
@@ -182,6 +181,15 @@ def test_assoc1_constant_poly():
     got = assoc1(st.p_polys[1], z, P, D, "x")
     want = st.p_polys[1].coeffs[0] * stieltjes_f1(z, P, D)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_species_names_are_checked():
+    # any name but "x" used to select the y species
+    st = build_state(P, D, 1)
+    with pytest.raises(DomainError):
+        assoc1(st.p_polys[1], -1.1, P, D, "z")
+    with pytest.raises(DomainError):
+        poly_coeffs(P, D, 1, "X")
 
 
 def test_assoc1_vs_quadrature():

@@ -4,9 +4,9 @@ import warnings
 
 import pytest
 
-from bhgap import cli, ensembles, oracles
+from bhgap import bops, cli, dd, ensembles, oracles
 from bhgap.cli import main
-from bhgap.params import PrecisionWarning
+from bhgap.params import ModelParams, PrecisionWarning
 
 
 def read_csv(path):
@@ -194,6 +194,28 @@ def test_verify_degenerate_deformation(tmp_path):
     rc = main(["verify", "--m", "2", "--a", "0.3", "--b", "0.6", "--xi", "0",
                "--psi", "0", "--s", "1", "--t", "1", "--out", str(out)])
     assert rc == 0
+
+
+def test_verify_rank1_row_sees_a_corrupted_gram(tmp_path, monkeypatch):
+    # one entry of the species-swapped twin, off by 1e-8 relative, fails
+    # rank1_cauchy and no other row
+    gram = bops._dd_gram
+    swapped = ModelParams(2, 1.0, 0.0, 1.0, 1.0)
+
+    def corrupted(p, d, size, *args):
+        mdd, aldd, bedd, iscx = gram(p, d, size, *args)
+        if p == swapped:
+            mdd = [row[:] for row in mdd]
+            mdd[2][1] = mdd[2][1] * dd.DD(1.0 + 1e-8)
+        return mdd, aldd, bedd, iscx
+
+    monkeypatch.setattr(cli, "_dd_gram", corrupted)
+    out = tmp_path / "verify.csv"
+    rc = main(["verify", "--m", "2", "--a", "0", "--b", "1", "--xi", "1",
+               "--psi", "1", "--s", "1", "--t", "1", "--out", str(out)])
+    assert rc == 1
+    status = {r["identity"]: r["status"] for r in read_csv(out)}
+    assert sorted(k for k, v in status.items() if v == "FAIL") == ["rank1_cauchy"]
 
 
 @pytest.mark.parametrize("suite,column,other", [

@@ -18,8 +18,9 @@ from bhgap.ensembles import (
     z_cl2m_flow,
     z_ubh,
 )
+from bhgap.bops import build_state, zdet
 from bhgap.oracles import quad_gap_small_m
-from bhgap.params import DeformPoint, INF, ModelParams, PrecisionWarning
+from bhgap.params import DeformPoint, DomainError, INF, ModelParams, PrecisionWarning
 from bhgap.plinalg import dd_pfaffian, pfaffian
 from bhgap.specfun import SpecFunResult
 
@@ -88,11 +89,33 @@ def test_z_ubh_xi_zero_is_one():
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-@pytest.mark.parametrize("aa", [-0.4, 0.5])
+@pytest.mark.parametrize("aa", [-0.7, -0.5, -0.4, 0.5])
 def test_fk_bridge(m, aa):
+    # for a <= -0.5 the two-species M_00 diverges; neither side reads it
     for xi in (0.3, 1.0):
         for s in (0.5, 2.0):
             assert fk_bridge_residual(m, aa, xi, s) <= 1e-9
+
+
+@pytest.mark.parametrize("a, b", [(-0.7, -0.6), (-0.5, -0.5)])
+def test_divergent_two_species_weight_raises(a, b):
+    # a + b + 1 <= 0: M_00 = int int x^a y^b e^(-x-y) / (x+y) diverges at the
+    # origin, so no route that reads it may return a value
+    p, d = ModelParams(2, a, b, 1.0, 1.0), DeformPoint(1.0, 1.0)
+    for call in (lambda: z_cl2m(p, d), lambda: build_state(p, d, 1),
+                 lambda: zdet(p, d, 2), lambda: z_cl2m_flow(p, DeformPoint(2.0, 2.0))):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("c", [300.0, 450.0, 600.0])
+def test_large_cutoffs_give_one(m, c):
+    # the Gram's boxed-gamma seed series needs about c + 12 sqrt(c) terms
+    zc = z_cl2m(ModelParams(m, 0.3, 0.7, 1.0, 1.0), DeformPoint(c, c)).value
+    zu = z_ubh(ModelParams(m, 0.3, 0.0, 1.0), c).value
+    assert abs(zc - 1.0) <= 1e-13
+    assert abs(zu - 1.0) <= 1e-13
 
 
 def test_z_ubh_tiny_value_is_not_flagged():

@@ -3,7 +3,7 @@ import pytest
 
 from bhgap.ensembles import z_bhft, z_cl2m
 from bhgap.oracles import OracleEstimate, mc_gap, quad_bimoment, quad_gap_small_m
-from bhgap.bimoments import bimoment
+from bhgap.bops import inner_product
 from bhgap.params import DeformPoint, DomainError, ModelParams, PrecisionWarning
 
 P = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
@@ -23,7 +23,7 @@ def test_quad_bimoment_matches_closed_form(jk):
     p = ModelParams(m=2, a=-0.5, b=1.5, xi=1.0, psi=0.5)
     d = DeformPoint(0.5, 2.0)
     got = quad_bimoment(j, k, p, d).value
-    want = bimoment(j, k, p, d)
+    want = inner_product(p, d, [1.0], [1.0], j, k)
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
@@ -44,6 +44,13 @@ def test_quad_gap_m2_vs_determinant():
     got = quad_gap_small_m(p, d).value
     want = z_cl2m(p, d).value
     assert abs(got - want) <= 1e-7
+
+
+def test_quad_gap_rejects_unknown_ensemble():
+    # "ubh" is not an oracle ensemble; it used to return the cl2m value
+    p = ModelParams(m=2, a=-0.7, b=0.0, xi=1.0, psi=1.0)
+    with pytest.raises(DomainError):
+        quad_gap_small_m(p, D, "ubh")
 
 
 def test_quad_gap_rejects_large_m():
