@@ -120,7 +120,9 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     Gram, which stays until every Gram is built in DD.
 
     Returns (M, alpha, beta, iscomplex): the size x size Gram and the alpha
-    and beta chains, longer than size, as DD lists.  M_00 is NaN where it
+    and beta chains, longer than size, as DD lists.  Row 0 and the fill stop
+    at the entries M returns; the chains keep all K = 2 size + 13 steps,
+    which `assoc1`, `_system` and `eval_bundle` read.  M_00 is NaN where it
     diverges, a + b + 1 <= 0: the Pfaffian route's equal-species Gram never
     reads it, and the other readers raise (`_require_integrable`).
     """
@@ -222,8 +224,11 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
 
     # corner blocks of the piecewise weight: every term is positive for
     # generating variables in [0, 1], so no block is a cancellation
+    # M reads the first size columns of rows 0..size-1, and the fill of row
+    # j + 1 reads row j one column further, so row 0 stops at 2 size - 1
+    # columns and each later row at one fewer
     row0 = []
-    for k in range(K):
+    for k in range(2 * size - 1):
         den = a_dd + b_dd + w(k + 1.0)
         num = om_xi * om_psi * (GA[0] * GB[k])
         if not xi_off:
@@ -238,7 +243,7 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     rows = [row0]
     for j in range(size - 1):
         prev = rows[-1]
-        rows.append([aldd[j] * bedd[k] - prev[k + 1] for k in range(K - j - 1)])
+        rows.append([aldd[j] * bedd[k] - prev[k + 1] for k in range(len(prev) - 1)])
     Mdd = [[rows[j][k] for k in range(size)] for j in range(size)]
     return Mdd, aldd, bedd, iscomplex
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from . import dd
 from .params import INF, DomainError, PoleError
 
 _EPS = 2.22e-16
@@ -414,9 +415,7 @@ def gamma2(a: float, x: float, y: complex) -> SpecFunResult:
 
 @functools.lru_cache(maxsize=1)
 def _gl64():
-    import numpy as _np
-
-    return _np.polynomial.legendre.leggauss(64)
+    return np.polynomial.legendre.leggauss(64)
 
 
 @functools.lru_cache(maxsize=1)
@@ -424,31 +423,32 @@ def _gl32_dd():
     """32-point Gauss-Legendre rule in double-double, as (hi, lo) arrays:
     numpy's float64 nodes, which cap every integral at ~1e-16, each take two
     Newton steps on P_32, and the weights are 2 (1 - x^2) / (32 P_31(x))^2."""
-    import numpy as _np
-
-    from . import dd as _dd
-
     one, n = (1.0, 0.0), (32.0, 0.0)
 
     def legendre(x):  # (P_31(x), P_32(x)) by the three-term recurrence
         p0, p1 = one, x
         for k in range(2, 33):
-            p0, p1 = p1, _dd.vdiv(_dd.vadd(_dd.vmul(_dd.vmul((2.0 * k - 1.0, 0.0), x), p1),
-                                           _dd.vmul((1.0 - k, 0.0), p0)), (float(k), 0.0))
+            p0, p1 = p1, dd.vdiv(dd.vadd(dd.vmul(dd.vmul((2.0 * k - 1.0, 0.0), x), p1),
+                                         dd.vmul((1.0 - k, 0.0), p0)), (float(k), 0.0))
         return p0, p1
 
-    x = (_np.polynomial.legendre.leggauss(32)[0], _np.zeros(32))
+    x = (np.polynomial.legendre.leggauss(32)[0], np.zeros(32))
     for _ in range(2):  # P_32' = 32 (x P_32 - P_31) / (x^2 - 1)
         p31, p32 = legendre(x)
-        step = _dd.vdiv(_dd.vmul(p32, _dd.vadd(_dd.vmul(x, x), (-1.0, 0.0))),
-                        _dd.vmul(n, _dd.vadd(_dd.vmul(x, p32), (-p31[0], -p31[1]))))
-        x = _dd.vadd(x, (-step[0], -step[1]))
-    q = _dd.vmul(n, legendre(x)[0])
-    w = _dd.vdiv(_dd.vmul((2.0, 0.0), _dd.vadd(one, _dd.vmul((-x[0], -x[1]), x))), _dd.vmul(q, q))
+        step = dd.vdiv(dd.vmul(p32, dd.vadd(dd.vmul(x, x), (-1.0, 0.0))),
+                       dd.vmul(n, dd.vadd(dd.vmul(x, p32), (-p31[0], -p31[1]))))
+        x = dd.vadd(x, (-step[0], -step[1]))
+    q = dd.vmul(n, legendre(x)[0])
+    w = dd.vdiv(dd.vmul((2.0, 0.0), dd.vadd(one, dd.vmul((-x[0], -x[1]), x))), dd.vmul(q, q))
     return x, w
 
 
-@functools.lru_cache(maxsize=100000)
+# _dd_gram asks for at most two seeds per Gram, and a seed is reused only
+# inside one point: z_ubh's equal-species Gram asks for (a, s, s) twice and a
+# flow seed's few Grams share theirs.  Every benchmark point draws new
+# cutoffs, so 4,096 entries (~1.5 MB) keep every reuse while a long sweep's
+# memory stays flat
+@functools.lru_cache(maxsize=4096)
 def _gamma2_boxed_cached(a: float, x: float, y: float) -> SpecFunResult:
     """Composite Gauss-Legendre with compensated accumulation: these values
     seed consistency chains whose downstream sensitivity is large, so the
@@ -456,27 +456,15 @@ def _gamma2_boxed_cached(a: float, x: float, y: float) -> SpecFunResult:
 
     The whole integral is mapped by u = v^(1/(1+a)) (u^a du = q dv exactly),
     removing the endpoint power for every non-integer a, and then integrated
-    on graded panels in v.
+    on graded panels in v.  Every node of a refinement level is one numpy
+    batch (panels x 64), and one exactly rounded fsum adds the level's terms.
     """
     nodes, weights = _gl64()
     q = 1.0 / (1.0 + a)
 
-    def vpanel_terms(vlo: float, vhi: float):
-        # u = v^q on the first u-panel: u^a du = q dv kills the endpoint power
-        h = 0.5 * (vhi - vlo)
-        mid = 0.5 * (vhi + vlo)
-        out = []
-        for xx, ww in zip(nodes, weights):
-            v = mid + h * xx
-            u = v ** q
-            out.append(h * ww * q * math.exp(-u) / (u + y))
-        return out
-
-    def upanel_terms(lo: float, hi: float):
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        return [h * ww * math.exp(-u) * u ** a / (u + y)
-                for xx, ww in zip(nodes, weights) for u in (mid + h * xx,)]
+    def panels(edges):  # (half-widths, midpoints) as columns, one row a panel
+        lo, hi = edges[:-1, None], edges[1:, None]
+        return 0.5 * (hi - lo), 0.5 * (hi + lo)
 
     u_edges = [x / 64.0, x / 8.0, x / 2.0, x]
     side = [1.0 / 512, 1.0 / 64, 1.0 / 8]
@@ -489,15 +477,15 @@ def _gamma2_boxed_cached(a: float, x: float, y: float) -> SpecFunResult:
         for _ in range(refine):
             vf = sorted(set(vf + [0.5 * (p1 + p2) for p1, p2 in zip(vf[:-1], vf[1:])]))
             ue = sorted(set(ue + [0.5 * (p1 + p2) for p1, p2 in zip(ue[:-1], ue[1:])]))
-        terms = []
-        for vlo, vhi in zip(vf[:-1], vf[1:]):
-            terms.extend(vpanel_terms(vlo * vmax, vhi * vmax))
-        prev = u_edges[0]
-        for hi in ue:
-            if hi > prev:
-                terms.extend(upanel_terms(prev, hi))
-                prev = hi
-        return math.fsum(terms)
+        # u = v^q on the first u-panel: u^a du = q dv kills the endpoint power
+        h, mid = panels(np.array(vf) * vmax)
+        u = (mid + h * nodes) ** q
+        vterms = h * weights * q * np.exp(-u) / (u + y)
+        # the u-panels run on from u_edges[0], where the v-panels stop
+        h, mid = panels(np.array(ue))
+        u = mid + h * nodes
+        uterms = h * weights * np.exp(-u) * u ** a / (u + y)
+        return math.fsum(vterms.ravel().tolist() + uterms.ravel().tolist())
 
     prev = grid(0)
     err = math.inf
@@ -507,7 +495,9 @@ def _gamma2_boxed_cached(a: float, x: float, y: float) -> SpecFunResult:
         prev = cur
         if err <= 4.0 * _EPS * abs(cur):
             break
-    return SpecFunResult(prev, err + 4 * _EPS * abs(prev))
+    # a node's rounding in u comes back a-fold in u^a, past the 4 eps floor
+    # once the shifted seed orders reach ~20
+    return SpecFunResult(prev, err + (4.0 + abs(a)) * _EPS * abs(prev))
 
 
 def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
@@ -515,7 +505,11 @@ def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
     (gamma2(a;0,y) = gamma2_boxed(a,x,y) + gamma2(a;x,y)).
 
     The float64 seed of the lo-fi Gram (`bops._dd_gram` without
-    hi_fidelity); kept until every Gram is built in double-double."""
+    hi_fidelity); kept until every Gram is built in double-double.  Each
+    refinement level runs as one numpy batch.  The rule is ~1e-13 relative
+    at x ~ 33 and y ~ 1 and 2.2e-12 at x ~ 33, y = 0.3, a = 1, where the
+    first v-panel's e^-u / (u + y) in u = v^(1/(1+a)) converges slowly;
+    est_abs_error covers both."""
     if not (x >= 0.0 and y > 0.0):
         raise DomainError(f"gamma2_boxed needs x >= 0, y > 0, got ({x}, {y})")
     if not a > -1.0:
@@ -535,39 +529,35 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
     float64 evaluation floor (~3e-16) is not good enough for 1e-9 contracts;
     the shift is summed in DD, as the float64 a + shift is itself rounded.
     """
-    import numpy as _np
-
-    from . import dd as _dd
-
     if not (x > 0.0 and y > 0.0 and a + shift > -1.0):
         raise DomainError(f"gamma2_boxed_dd domain: a={a}, shift={shift}, x={x}, y={y}")
     nodes, weights = _gl32_dd()
-    ydd = _dd.DD(y)
-    ea = _dd.DD(a) + _dd.DD(float(shift))
+    ydd = dd.DD(y)
+    ea = dd.DD(a) + dd.DD(float(shift))
 
     # first panel [0, c] by the series int_0^c u^a e^-u/(u+y) du =
     # c^(a+1) sum_n (-1)^n u_n (c/y)^n / (y (a+n+1)), u_n = sum_{k<=n} y^k/k!,
     # which is exact DD arithmetic (the quadrature route is blocked by the
     # fractional-power derivative singularity at the origin); a is ea here
     c = min(x / 64.0, y / 2.0)
-    cdd = _dd.DD(c)
+    cdd = dd.DD(c)
     rho = cdd / ydd
-    un = _dd.DD(1.0)
-    ypow = _dd.DD(1.0)
-    rpow = _dd.DD(1.0)
-    a1 = ea + _dd.DD(1.0)
+    un = dd.DD(1.0)
+    ypow = dd.DD(1.0)
+    rpow = dd.DD(1.0)
+    a1 = ea + dd.DD(1.0)
     acc0 = un / a1
     n = 0
     while n < 400:
         n += 1
-        ypow = ypow * ydd / _dd.DD(float(n))
+        ypow = ypow * ydd / dd.DD(float(n))
         un = un + ypow
         rpow = rpow * rho
-        term = un * rpow / (a1 + _dd.DD(float(n)))
+        term = un * rpow / (a1 + dd.DD(float(n)))
         acc0 = acc0 + term if n % 2 == 0 else acc0 - term
         if abs(float(term)) <= 1e-34 * abs(float(acc0)):
             break
-    first = cdd * _dd.dd_pow(cdd, ea) * acc0 / ydd
+    first = cdd * dd.dd_pow(cdd, ea) * acc0 / ydd
 
     u_edges = [c]
     grow = c
@@ -584,19 +574,19 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
 
     def level(eh, el):  # the edges' hi and lo parts
         lo, hi = (eh[:-1, None], el[:-1, None]), (eh[1:, None], el[1:, None])
-        d, s = _dd.vadd(hi, (-lo[0], -lo[1])), _dd.vadd(hi, lo)
+        d, s = dd.vadd(hi, (-lo[0], -lo[1])), dd.vadd(hi, lo)
         h = (0.5 * d[0], 0.5 * d[1])
-        u = _dd.vadd((0.5 * s[0], 0.5 * s[1]), _dd.vmul(h, xn))
-        f = _dd.vexp(_dd.vadd(_dd.vmul(eav, _dd.vln(u)), (-u[0], -u[1])))
-        return _dd.vsum(_dd.vdiv(_dd.vmul(_dd.vmul(h, wn), f), _dd.vadd(u, (y, 0.0)))) + first
+        u = dd.vadd((0.5 * s[0], 0.5 * s[1]), dd.vmul(h, xn))
+        f = dd.vexp(dd.vadd(dd.vmul(eav, dd.vln(u)), (-u[0], -u[1])))
+        return dd.vsum(dd.vdiv(dd.vmul(dd.vmul(h, wn), f), dd.vadd(u, (y, 0.0)))) + first
 
-    eh, el = _np.array(u_edges), _np.zeros(len(u_edges))
+    eh, el = np.array(u_edges), np.zeros(len(u_edges))
     prev = level(eh, el)
     err = math.inf
     for _ in range(3):
-        mh, ml = _dd.vadd((eh[:-1], el[:-1]), (eh[1:], el[1:]))
-        at = _np.arange(1, len(eh))
-        eh, el = _np.insert(eh, at, 0.5 * mh), _np.insert(el, at, 0.5 * ml)
+        mh, ml = dd.vadd((eh[:-1], el[:-1]), (eh[1:], el[1:]))
+        at = np.arange(1, len(eh))
+        eh, el = np.insert(eh, at, 0.5 * mh), np.insert(el, at, 0.5 * ml)
         cur = level(eh, el)
         diff = prev - cur
         err = abs(diff.hi + diff.lo)

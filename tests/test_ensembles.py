@@ -240,6 +240,30 @@ def test_z_bhft_golden_values(key):
     assert (r.value, r.est_error) == BHFT_GOLDEN[key]
 
 
+# deep points, where z_cl2m and z_ubh return the hi-fi Gram's value: it reads
+# no float gamma2_boxed seed, so these pin the Gram's assembly bit for bit.
+# (m, a, b, s, t) -> z_cl2m at xi = psi = 1, one with s < t
+DEEP_CL2M_GOLDEN = {
+    (4, 0.3, 0.7, 2.4, 1.9): (9.811594030577945e-06, 9.811594030577945e-16),
+    (6, 0.2, 0.5, 4.1, 5.3): (5.227929318065673e-06, 5.227929318065673e-16),
+    (8, 0.534, 0.2, 6.4, 5.1): (6.244052638561302e-11, 6.244052638561302e-21),
+}
+# (m, a, s) -> z_ubh at xi = 1
+DEEP_UBH_GOLDEN = {
+    (4, 0.3, 2.5): (0.003489917556338808, 3.489917556338808e-13),
+    (7, 0.9, 5.2): (1.764866681107557e-06, 1.764866681107557e-16),
+}
+
+
+def test_deep_golden_values():
+    for (m, a, b, s, t), want in DEEP_CL2M_GOLDEN.items():
+        r = z_cl2m(ModelParams(m, a, b, 1.0, 1.0), DeformPoint(s, t))
+        assert (r.value, r.est_error) == want
+    for (m, a, s), want in DEEP_UBH_GOLDEN.items():
+        r = z_ubh(ModelParams(m, a, 0.0, 1.0), s)
+        assert (r.value, r.est_error) == want
+
+
 @pytest.mark.parametrize("m, a, xi, t", [
     (1, -0.4, 0.6, 0.7), (2, 0.1, 0.6, 0.26), (2, 0.5, 1.0, 0.55), (2, 0.9, 0.8, 0.86),
 ])

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from bhgap import dd, ensembles, specfun
-from bhgap.params import DomainError, PoleError
+from bhgap import bops, dd, ensembles, specfun
+from bhgap.params import DomainError, ModelParams, PoleError
 from bhgap.specfun import (
     gamma,
     gamma2,
@@ -333,6 +333,91 @@ def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
     gamma2_boxed_dd.cache_clear()
     gamma2_boxed_dd(0.7, 3.4, 1.1, 28)
     assert calls == {"dd_exp": 2, "dd_pow": 1}
+
+
+def test_gamma2_boxed_evaluates_levels_as_arrays(monkeypatch):
+    # each refinement level is one numpy batch over its 704-5,632 nodes,
+    # so no node takes a scalar exp
+    calls = {"exp": 0}
+
+    def counted(x, _fn=math.exp):
+        calls["exp"] += 1
+        return _fn(x)
+
+    monkeypatch.setattr(specfun.math, "exp", counted)
+    specfun._gamma2_boxed_cached.cache_clear()
+    specfun.gamma2_boxed(0.7, 3.4, 1.1)
+    assert calls["exp"] <= 4
+
+
+def _gamma2_boxed_by_node(a, x, y):
+    """`_gamma2_boxed_cached`'s rule one node at a time with libm's exp and
+    pow: the same panels, nodes, terms, fsum per level and stopping test."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    q = 1.0 / (1.0 + a)
+    u_edges = [x / 64.0, x / 8.0, x / 2.0, x]
+    side = [1.0 / 512, 1.0 / 64, 1.0 / 8]
+    vf, ue = sorted({0.0, 0.5, 1.0, *side, *(1.0 - f for f in side)}), u_edges
+    vmax = u_edges[0] ** (1.0 + a)
+    levels = []
+    for _ in range(4):
+        terms = []
+        for lo, hi in zip(vf[:-1], vf[1:]):
+            h, mid = 0.5 * (hi * vmax - lo * vmax), 0.5 * (hi * vmax + lo * vmax)
+            for xx, ww in zip(nodes.tolist(), weights.tolist()):
+                u = math.pow(mid + h * xx, q)
+                terms.append(h * ww * q * math.exp(-u) / (u + y))
+        for lo, hi in zip(ue[:-1], ue[1:]):
+            h, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            for xx, ww in zip(nodes.tolist(), weights.tolist()):
+                u = mid + h * xx
+                terms.append(h * ww * math.exp(-u) * math.pow(u, a) / (u + y))
+        levels.append(math.fsum(terms))
+        if len(levels) > 1 and abs(levels[-1] - levels[-2]) <= 4.0 * 2.22e-16 * abs(levels[-1]):
+            break
+        vf = sorted(set(vf + [0.5 * (p + r) for p, r in zip(vf[:-1], vf[1:])]))
+        ue = sorted(set(ue + [0.5 * (p + r) for p, r in zip(ue[:-1], ue[1:])]))
+    return levels[-1]
+
+
+def test_gamma2_boxed_matches_node_by_node_rule():
+    # numpy's exp and pow may differ from libm's by an ulp on a few nodes;
+    # every term is positive, so the sum moves by at most a few ulps
+    rng = random.Random(3)
+    for _ in range(12):
+        a = rng.choice([rng.random(), rng.uniform(10, 33)])
+        x, y = rng.uniform(0.3, 33), rng.uniform(0.3, 33)
+        want = _gamma2_boxed_by_node(a, x, y)
+        assert abs(specfun.gamma2_boxed(a, x, y).value - want) <= 8 * 2.22e-16 * want, (a, x, y)
+
+
+def test_gamma2_boxed_cache_is_bounded():
+    # a sweep of new points must not keep every seed it evaluated, and the
+    # one reuse, z_ubh's equal-species Gram asking for (a, s, s) twice, hits
+    specfun._gamma2_boxed_cached.cache_clear()
+    bops.clear_caches()
+    for i in range(20):
+        ensembles.z_ubh(ModelParams(3, 0.3, 0.0, 1.0), 8.0 + 0.01 * i)
+    info = specfun._gamma2_boxed_cached.cache_info()
+    assert info.hits == 20 and info.currsize == 20
+    assert info.maxsize is not None and info.maxsize <= 4096
+
+
+# a in [0, 1] and the shifted seed orders b + K - 1 of the lo-fi Gram
+@pytest.mark.parametrize("a", [0.0, 0.31, 0.725, 1.0, 13.4, 21.9, 32.7])
+def test_gamma2_boxed_against_mpmath(a):
+    # worst at the grid's corner a = 1, x = 32.77, y = 0.3: 2.24e-12, with
+    # an estimate of 4.1e-12 (near y = 1 it is ~1e-13)
+    for x in (0.3, 1.152, 7.5, 32.77):
+        for y in (0.3, 1.152, 7.5, 32.77):
+            got = specfun.gamma2_boxed(a, x, y)
+            am, ym = mp.mpf(a), mp.mpf(y)
+            cuts = {mp.mpf(0), mp.mpf(x) / 64, mp.mpf(x) / 8, mp.mpf(x) / 2, mp.mpf(x)}
+            want = mp.quad(lambda u: u ** am * mp.exp(-u) / (u + ym),
+                           sorted(cuts | ({am} if a < x else set())))
+            err = abs(got.value - want)
+            assert err <= 2.5e-12 * want, (a, x, y)
+            assert err <= got.est_abs_error, (a, x, y)
 
 
 @pytest.mark.parametrize("z", [complex(4.0, 0.5), complex(-6.0, 1.0), complex(-35.0, 3.0)])
