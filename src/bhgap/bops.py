@@ -115,6 +115,12 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     moment row comes from the blocks' closed forms; higher rows use the then
     exact rank-1 fill M_{j+1,k} = alpha_j beta_k - M_{j,k+1}.
 
+    A block whose coefficient is exactly zero is skipped with every chain
+    and seed that only it reads (at xi = 1 the GA chain and c0t, at psi = 1
+    GB and G2s0); adding its zero would leave every bit of the sum as it is.
+    DomainError for a finite cutoff above 700, where e^-cutoff leaves the
+    normal floats and the weight terms would silently vanish.
+
     hi_fidelity also builds the weight powers and the Gamma2 seeds in DD
     (`gamma2_boxed_dd`).  The float64 default (`gamma2_boxed`) is the lo-fi
     Gram, which stays until every Gram is built in DD.
@@ -126,14 +132,27 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     diverges, a + b + 1 <= 0: the Pfaffian route's equal-species Gram never
     reads it, and the other readers raise (`_require_integrable`).
     """
+    if any(cut != INF and cut > 700.0 for cut in (d.s, d.t)):
+        raise DomainError(f"cutoffs ({d.s}, {d.t}): above 700 e^-cutoff leaves the normal floats")
     iscomplex = isinstance(p.xi, complex) or isinstance(p.psi, complex)
     K = 2 * size + 13  # a margin of chain steps drowns the top-seed errors
     xi_off = p.xi == 0 or d.s == INF
     psi_off = p.psi == 0 or d.t == INF
+    # GA and GB enter with 1 - xi and 1 - psi; T00 ... T11 are the blocks built
+    ga_on = xi_off or p.xi != 1
+    gb_on = psi_off or p.psi != 1
+    t00, t10 = ga_on and gb_on, gb_on and not xi_off
+    t01, t11 = ga_on and not psi_off, not (xi_off or psi_off)
     a, b, s, t = p.a, p.b, d.s, d.t
 
     def w(x):
         return dd.wrap(x, iscomplex)
+
+    def upper_seed(c, y):  # Gamma(c+1) e^y y^c Gamma(-c, y): G2s0 and c0t
+        v = gamma(c + 1.0) * math.exp(y) * y ** c * gamma_upper(-c, y).value
+        if not math.isfinite(v):  # e^y y^c, from y ~ 700 at c ~ 1
+            raise DomainError(f"e^y y^c overflows float64 at y = {y}, c = {c}")
+        return w(v)
 
     zero = w(0.0)
     a_dd, b_dd = w(a), w(b)
@@ -156,14 +175,15 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     else:
         wsp = [w(0.0 if xi_off else s ** (a + 1.0) * math.exp(-s))]
         wtp = [w(0.0 if psi_off else t ** (b + 1.0) * math.exp(-t))]
-    G2s0 = [w(0.0 if xi_off else
-              gamma(b + 1.0) * math.exp(s) * s ** b * gamma_upper(-b, s).value)]
+    if t10:
+        G2s0 = [upper_seed(b, s)]
     for k in range(K - 1):
-        ak1 = a_dd + w(k + 1.0)
-        bk1 = b_dd + w(k + 1.0)
-        GA.append(ak1 * GA[-1])
-        GB.append(bk1 * GB[-1])
-        G2s0.append(GB[-2] - s_dd * G2s0[-1] if not xi_off else zero)
+        if ga_on:
+            GA.append((a_dd + w(k + 1.0)) * GA[-1])
+        if gb_on:
+            GB.append((b_dd + w(k + 1.0)) * GB[-1])
+        if t10:
+            G2s0.append(GB[-2] - s_dd * G2s0[-1])
         wsp.append(s_dd * wsp[-1])
         wtp.append(t_dd * wtp[-1])
 
@@ -190,37 +210,36 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
 
     LGA = boxed_chain(a_dd, s_dd, wsp, xi_off)
     LGB = boxed_chain(b_dd, t_dd, wtp, psi_off)
-    aldd = [om_xi * GA[j] + xi_dd * LGA[j] for j in range(K)] if not xi_off else GA[:]
-    bedd = [om_psi * GB[k] + psi_dd * LGB[k] for k in range(K)] if not psi_off else GB[:]
+    aldd = (GA if xi_off else LGA if not ga_on
+            else [om_xi * GA[j] + xi_dd * LGA[j] for j in range(K)])
+    bedd = (GB if psi_off else LGB if not gb_on
+            else [om_psi * GB[k] + psi_dd * LGB[k] for k in range(K)])
 
-    c0t = w(0.0)
-    cst = w(0.0)
-    lam2 = [zero] * K
-    if not psi_off:
-        c0t = w(gamma(a + 1.0) * math.exp(t) * t ** a * gamma_upper(-a, t).value)
-        if not xi_off:
-            if hi_fidelity and not iscomplex:
-                # deep-truncation determinants amplify these two seeds by up
-                # to ~1e6, past the float64 evaluation floor
-                cst = gamma2_boxed_dd(a, s, t)[0]
-                seed_lo = lambda: gamma2_boxed_dd(b, t, s)[0]
-                seed_hi = lambda: gamma2_boxed_dd(b, t, s, K - 1)[0]
-            else:
-                cst = w(gamma2_boxed(a, s, t).value)
-                seed_lo = lambda: w(gamma2_boxed(b, t, s).value)
-                seed_hi = lambda: w(gamma2_boxed(b + K - 1, t, s).value)
-            # boxed shift chain lam2(B+1) = gamma_lower(B+1,t) - s lam2(B):
-            # lam2(B) scales like t^B, so the relative error grows by s/t
-            # per upward step and by t/s per downward step
-            if s <= t:
-                lam2 = [seed_lo()]
-                for k in range(K - 1):
-                    lam2.append(LGB[k] - s_dd * lam2[-1])
-            else:
-                lam2 = [seed_hi()]
-                for k in range(K - 2, -1, -1):
-                    lam2.append((LGB[k] - lam2[-1]) / s_dd)
-                lam2.reverse()
+    if t01:
+        c0t = upper_seed(a, t)
+    if t11:
+        if hi_fidelity and not iscomplex:
+            # deep-truncation determinants amplify these two seeds by up
+            # to ~1e6, past the float64 evaluation floor
+            cst = gamma2_boxed_dd(a, s, t)[0]
+            seed_lo = lambda: gamma2_boxed_dd(b, t, s)[0]
+            seed_hi = lambda: gamma2_boxed_dd(b, t, s, K - 1)[0]
+        else:
+            cst = w(gamma2_boxed(a, s, t).value)
+            seed_lo = lambda: w(gamma2_boxed(b, t, s).value)
+            seed_hi = lambda: w(gamma2_boxed(b + K - 1, t, s).value)
+        # boxed shift chain lam2(B+1) = gamma_lower(B+1,t) - s lam2(B):
+        # lam2(B) scales like t^B, so the relative error grows by s/t
+        # per upward step and by t/s per downward step
+        if s <= t:
+            lam2 = [seed_lo()]
+            for k in range(K - 1):
+                lam2.append(LGB[k] - s_dd * lam2[-1])
+        else:
+            lam2 = [seed_hi()]
+            for k in range(K - 2, -1, -1):
+                lam2.append((LGB[k] - lam2[-1]) / s_dd)
+            lam2.reverse()
 
     # corner blocks of the piecewise weight: every term is positive for
     # generating variables in [0, 1], so no block is a cancellation
@@ -230,14 +249,15 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     row0 = []
     for k in range(2 * size - 1):
         den = a_dd + b_dd + w(k + 1.0)
-        num = om_xi * om_psi * (GA[0] * GB[k])
-        if not xi_off:
-            num = num + xi_dd * om_psi * (LGA[0] * GB[k] + wsp[0] * G2s0[k])
-        if not psi_off:
-            num = num + om_xi * psi_dd * (GA[0] * LGB[k] + wtp[k] * c0t)
-        if not (xi_off or psi_off):
-            num = num + xi_dd * psi_dd * (LGA[0] * LGB[k] + wsp[0] * lam2[k]
-                                          + wtp[k] * cst)
+        terms = [om_xi * om_psi * (GA[0] * GB[k])] if t00 else []
+        if t10:
+            terms.append(xi_dd * om_psi * (LGA[0] * GB[k] + wsp[0] * G2s0[k]))
+        if t01:
+            terms.append(om_xi * psi_dd * (GA[0] * LGB[k] + wtp[k] * c0t))
+        if t11:
+            terms.append(xi_dd * psi_dd * (LGA[0] * LGB[k] + wsp[0] * lam2[k]
+                                           + wtp[k] * cst))
+        num = sum(terms[1:], terms[0])
         # M_00 diverges at the origin unless a + b + 1 > 0
         row0.append(num / den if k or a + b + 1.0 > 0.0 else w(math.nan))
     rows = [row0]

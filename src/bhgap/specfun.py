@@ -414,11 +414,6 @@ def gamma2(a: float, x: float, y: complex) -> SpecFunResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _gl64():
-    return np.polynomial.legendre.leggauss(64)
-
-
-@functools.lru_cache(maxsize=1)
 def _gl32_dd():
     """32-point Gauss-Legendre rule in double-double, as (hi, lo) arrays:
     numpy's float64 nodes, which cap every integral at ~1e-16, each take two
@@ -443,6 +438,19 @@ def _gl32_dd():
     return x, w
 
 
+def _boxed_panels(x: float, y: float) -> tuple[float, list]:
+    """The panels of int_0^x u^a e^-u / (u+y) du shared by gamma2_boxed and
+    gamma2_boxed_dd: the end c = min(x/64, y/2) of the first panel [0, c],
+    where the series in c/y <= 1/2 converges, and the edges of the rest,
+    doubling from c to x/2, then 0.75 x and x.  Each graded panel is no
+    wider than its distance from the endpoint power at u = 0."""
+    c = min(x / 64.0, y / 2.0)
+    edges = [c]
+    while edges[-1] < x / 2.0:
+        edges.append(min(edges[-1] * 2.0, x / 2.0))
+    return c, sorted(set(edges + [0.75 * x, x]))
+
+
 # _dd_gram asks for at most two seeds per Gram, and a seed is reused only
 # inside one point: z_ubh's equal-species Gram asks for (a, s, s) twice and a
 # flow seed's few Grams share theirs.  Every benchmark point draws new
@@ -450,54 +458,32 @@ def _gl32_dd():
 # memory stays flat
 @functools.lru_cache(maxsize=4096)
 def _gamma2_boxed_cached(a: float, x: float, y: float) -> SpecFunResult:
-    """Composite Gauss-Legendre with compensated accumulation: these values
-    seed consistency chains whose downstream sensitivity is large, so the
-    QUADPACK summation floor (~4e-15) is not good enough.
-
-    The whole integral is mapped by u = v^(1/(1+a)) (u^a du = q dv exactly),
-    removing the endpoint power for every non-integer a, and then integrated
-    on graded panels in v.  Every node of a refinement level is one numpy
-    batch (panels x 64), and one exactly rounded fsum adds the level's terms.
-    """
-    nodes, weights = _gl64()
-    q = 1.0 / (1.0 + a)
-
-    def panels(edges):  # (half-widths, midpoints) as columns, one row a panel
-        lo, hi = edges[:-1, None], edges[1:, None]
-        return 0.5 * (hi - lo), 0.5 * (hi + lo)
-
-    u_edges = [x / 64.0, x / 8.0, x / 2.0, x]
-    side = [1.0 / 512, 1.0 / 64, 1.0 / 8]
-    vfr = sorted({0.0, 0.5, 1.0, *side, *(1.0 - f for f in side)})
-
-    def grid(refine: int):
-        vmax = u_edges[0] ** (1.0 + a)
-        vf = vfr
-        ue = u_edges
-        for _ in range(refine):
-            vf = sorted(set(vf + [0.5 * (p1 + p2) for p1, p2 in zip(vf[:-1], vf[1:])]))
-            ue = sorted(set(ue + [0.5 * (p1 + p2) for p1, p2 in zip(ue[:-1], ue[1:])]))
-        # u = v^q on the first u-panel: u^a du = q dv kills the endpoint power
-        h, mid = panels(np.array(vf) * vmax)
-        u = (mid + h * nodes) ** q
-        vterms = h * weights * q * np.exp(-u) / (u + y)
-        # the u-panels run on from u_edges[0], where the v-panels stop
-        h, mid = panels(np.array(ue))
-        u = mid + h * nodes
-        uterms = h * weights * np.exp(-u) * u ** a / (u + y)
-        return math.fsum(vterms.ravel().tolist() + uterms.ravel().tolist())
-
-    prev = grid(0)
-    err = math.inf
-    for lvl in (1, 2, 3):
-        cur = grid(lvl)
-        err = abs(cur - prev)
-        prev = cur
-        if err <= 4.0 * _EPS * abs(cur):
+    """gamma2_boxed_dd's panels in float64: its first-panel series, then the
+    21-point Kronrod rule on each graded panel as one numpy expression, and
+    one exactly rounded fsum of every term.  The error estimate is the
+    embedded 10-point Gauss rule's distance per panel, the rounding of the
+    series' alternating terms, and (8 + |a|) eps for the exponent a ln u - u,
+    whose rounding comes back a-fold."""
+    c, edges = _boxed_panels(x, y)
+    # int_0^c u^a e^-u/(u+y) du = c^(a+1) / y sum_n (-1)^n t_n / (a+n+1) with
+    # t_n = (c/y)^n sum_{k<=n} y^k/k! = (c/y) t_(n-1) + c^n/n!
+    rho, t, cpow = c / y, 1.0, 1.0
+    acc = tot = 1.0 / (a + 1.0)
+    for n in range(1, 400):
+        cpow *= c / n
+        t = rho * t + cpow
+        term = t / (a + 1.0 + n)
+        acc = acc + term if n % 2 == 0 else acc - term
+        tot += term
+        if term <= 1e-17 * acc:
             break
-    # a node's rounding in u comes back a-fold in u^a, past the 4 eps floor
-    # once the shifted seed orders reach ~20
-    return SpecFunResult(prev, err + (4.0 + abs(a)) * _EPS * abs(prev))
+    scale = c ** (a + 1.0) / y
+    h = 0.5 * np.diff(edges)[:, None]
+    u = np.array(edges[:-1])[:, None] + h * _GK_T
+    f = h * np.exp(a * np.log(u) - u) / (u + y)
+    val = math.fsum((f * _GK_W).ravel().tolist() + [scale * acc])
+    err = float(np.abs(f @ _GK_D).sum()) + 4.0 * _EPS * scale * tot
+    return SpecFunResult(val, err + (8.0 + abs(a)) * _EPS * abs(val))
 
 
 def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
@@ -505,11 +491,11 @@ def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
     (gamma2(a;0,y) = gamma2_boxed(a,x,y) + gamma2(a;x,y)).
 
     The float64 seed of the lo-fi Gram (`bops._dd_gram` without
-    hi_fidelity); kept until every Gram is built in double-double.  Each
-    refinement level runs as one numpy batch.  The rule is ~1e-13 relative
-    at x ~ 33 and y ~ 1 and 2.2e-12 at x ~ 33, y = 0.3, a = 1, where the
-    first v-panel's e^-u / (u + y) in u = v^(1/(1+a)) converges slowly;
-    est_abs_error covers both."""
+    hi_fidelity); kept until every Gram is built in double-double.  One
+    fixed rule on gamma2_boxed_dd's panels, within ~4e-15 relative of
+    30-digit values for a <= 34 and x, y in [0.3, 35].  At cutoffs of several
+    hundred the first panel's alternating series loses digits (7e-12 at
+    x = y = 700), and est_abs_error covers it."""
     if not (x >= 0.0 and y > 0.0):
         raise DomainError(f"gamma2_boxed needs x >= 0, y > 0, got ({x}, {y})")
     if not a > -1.0:
@@ -528,6 +514,8 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
     Deep-truncation determinants amplify this one seed by ~1e6, so the
     float64 evaluation floor (~3e-16) is not good enough for 1e-9 contracts;
     the shift is summed in DD, as the float64 a + shift is itself rounded.
+    On `_boxed_panels` (gamma2_boxed's too): the first panel's series, then
+    32-point Gauss-Legendre, halved until two levels agree to 1e-21.
     """
     if not (x > 0.0 and y > 0.0 and a + shift > -1.0):
         raise DomainError(f"gamma2_boxed_dd domain: a={a}, shift={shift}, x={x}, y={y}")
@@ -539,7 +527,7 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
     # c^(a+1) sum_n (-1)^n u_n (c/y)^n / (y (a+n+1)), u_n = sum_{k<=n} y^k/k!,
     # which is exact DD arithmetic (the quadrature route is blocked by the
     # fractional-power derivative singularity at the origin); a is ea here
-    c = min(x / 64.0, y / 2.0)
+    c, u_edges = _boxed_panels(x, y)
     cdd = dd.DD(c)
     rho = cdd / ydd
     un = dd.DD(1.0)
@@ -558,14 +546,6 @@ def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
         if abs(float(term)) <= 1e-34 * abs(float(acc0)):
             break
     first = cdd * dd.dd_pow(cdd, ea) * acc0 / ydd
-
-    u_edges = [c]
-    grow = c
-    while grow < x / 2.0:
-        grow = min(grow * 2.0, x / 2.0)
-        u_edges.append(grow)
-    u_edges.extend([0.75 * x, x])
-    u_edges = sorted(set(u_edges))
 
     # every panel of a level is one (panels, 32) batch; the integrand is
     # exp(ea ln u - u) / (u + y)

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bhgap import bops, dd, plinalg
+from bhgap import bops, dd, plinalg, specfun
 from bhgap.bops import (
     assoc1,
     build_state,
@@ -309,6 +309,74 @@ def test_hifi_gram_swap_twin(m, a, b, s, t):
     z = dd.unwrap(plinalg.dd_lu_det(bops._dd_gram(p, d, m, True)[0]))
     twin = dd.unwrap(plinalg.dd_lu_det(bops._dd_gram(p.swapped(), d.swapped(), m, True)[0]))
     assert abs(z - twin) <= 1e-12 * abs(z)
+
+
+def test_zero_coefficient_corners_are_not_built(monkeypatch):
+    # the float Gamma(-c, y) seeds G2s0 and c0t enter only the blocks with
+    # coefficients xi (1 - psi) and (1 - xi) psi, so xi = 1 drops c0t and
+    # psi = 1 drops G2s0
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return specfun.gamma_upper(*args)
+
+    monkeypatch.setattr(bops, "gamma_upper", counted)
+    d = DeformPoint(1.3, 2.1)
+    for xi, psi, want in [(1.0, 1.0, 0), (1.0, 0.6, 1), (0.6, 0.6, 2)]:
+        calls.clear()
+        bops.clear_caches()
+        bops._dd_gram(ModelParams(3, 0.3, 0.7, xi, psi), d, 3)
+        assert len(calls) == want, (xi, psi)
+
+
+# (m, a, b, xi, psi, s, t) -> the hi-fi Gram's entries, row by row, as (hi, lo)
+# or (re hi, re lo, im hi, im lo), recorded before the zero-coefficient skip
+HIFI_GRAM_GOLDEN = {
+    (3, 0.3, 0.7, 1.0, 1.0, 2.4, 1.9): [
+        (0.31801876593563144, -2.3827785748443058e-17),
+        (0.2408209793067441, 2.932133477260033e-18),
+        (0.2597529984293947, 1.596886479329952e-17),
+        (0.21721034632363295, -3.717715681392255e-18),
+        (0.17708256781665935, 6.232675702350404e-18),
+        (0.19713399955197902, 1.9318947478617374e-18),
+        (0.24939573852375155, 8.733824150444196e-18),
+        (0.20960868815714273, 1.2973107244642033e-17),
+        (0.23673715418789992, -1.1622049799271256e-17),
+    ],
+    (3, 0.3, 0.7, 1.0, 0.6, 1.1, 2.2): [
+        (0.27547957873922796, 1.040953658883669e-17),
+        (0.249789864044674, -1.3610577868613973e-17),
+        (0.38949174956528626, 8.2719091114456e-18),
+        (0.12210824284039583, 4.802785261171009e-18),
+        (0.11842456632871676, -3.719162255637446e-18),
+        (0.19071030615126083, 6.017896570244784e-18),
+        (0.07874070882676777, 5.559348731171854e-20),
+        (0.07856630033103329, 2.4737396215414584e-18),
+        (0.128483129059146, 3.2903994367799368e-18),
+    ],
+    (3, 0.2, 0.5, (0.5+0.3j), 0.0, 1.3, 0.9): [
+        (0.43614029914418095, 2.572718372591699e-17, -0.025506124615996738, 9.361607718420017e-20),
+        (0.40195856931191887, 2.5500826763042078e-17, -0.030060145620770362, 1.0689753469053287e-18),
+        (0.7221601750801071, 2.9010177449858775e-17, -0.06152502702044152, 1.425095189396208e-19),
+        (0.2707947164914146, -2.5280586389892184e-17, -0.0545113998714886, -1.6210595328479072e-18),
+        (0.2869697536248931, 2.68313343411239e-17, -0.06533229121794693, 2.4988111541001258e-18),
+        (0.5533774930752102, 3.3424082740466215e-17, -0.13542155232171763, 3.0463214613639163e-18),
+        (0.35488519133761987, 8.535192186140043e-18, -0.13542296217365615, -6.6062054917911635e-18),
+        (0.4094049243685592, 1.96257070504297e-17, -0.165711327765687, 4.6703748399139845e-18),
+        (0.8317250976632923, -3.4927042115873745e-17, -0.3489321024625799, 2.737612860885784e-17),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(HIFI_GRAM_GOLDEN))
+def test_hifi_gram_golden(key):
+    # skipping the zero-coefficient blocks changes no bit of the Gram
+    m, a, b, xi, psi, s, t = key
+    M = bops._dd_gram(ModelParams(m, a, b, xi, psi), DeformPoint(s, t), m, True)[0]
+    got = [(e.re.hi, e.re.lo, e.im.hi, e.im.lo) if isinstance(e, dd.CDD) else (e.hi, e.lo)
+           for row in M for e in row]
+    assert repr(got) == repr(HIFI_GRAM_GOLDEN[key])
 
 
 def test_eval_bundle_contents():

@@ -109,13 +109,26 @@ def test_divergent_two_species_weight_raises(a, b):
 
 
 @pytest.mark.parametrize("m", [2, 4])
-@pytest.mark.parametrize("c", [300.0, 450.0, 600.0])
+@pytest.mark.parametrize("c", [300.0, 450.0, 600.0, 690.0, 700.0])
 def test_large_cutoffs_give_one(m, c):
     # the Gram's boxed-gamma seed series needs about c + 12 sqrt(c) terms
     zc = z_cl2m(ModelParams(m, 0.3, 0.7, 1.0, 1.0), DeformPoint(c, c)).value
     zu = z_ubh(ModelParams(m, 0.3, 0.0, 1.0), c).value
     assert abs(zc - 1.0) <= 1e-13
     assert abs(zu - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [701.0, 720.0, 760.0, 1000.0, 2000.0])
+def test_cutoffs_above_700_raise(c):
+    # past 700 e^-c leaves the normal floats: the Gram would return Z - 1 =
+    # -1.2e-11 at 720, 0 at 760 and NaN at 1,000 without a word
+    for call in (lambda: z_cl2m(ModelParams(2, 0.3, 0.7, 1.0, 1.0), DeformPoint(c, c)),
+                 lambda: z_cl2m(ModelParams(2, 0.3, 0.7, 0.5, 1.0), DeformPoint(c, c)),
+                 lambda: z_cl2m(ModelParams(2, 0.3, 0.7, 0.5, 1.0), DeformPoint(2.0, c)),
+                 lambda: z_ubh(ModelParams(2, 0.3, 0.0, 1.0), c),
+                 lambda: build_state(ModelParams(2, 0.3, 0.7, 1.0, 1.0), DeformPoint(c, 1.0), 1)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_z_ubh_tiny_value_is_not_flagged():
@@ -399,15 +412,15 @@ def test_flow_route_matches_determinant():
 
 
 # (m, s, t) -> (value, est_error) at a = 0.3, b = 0.7, xi = 1, psi = 0.6,
-# flowed from (1, 1).  They sit 1.1e-10 to 2.0e-9 from z_cl2m; a reordered
-# floating-point expression in the flow's right-hand side or a change to its
-# step control shows here
+# flowed from (1, 1).  They sit 1.1e-10 to 3.4e-9 from the hi-fi determinant;
+# a reordered floating-point expression in the flow's right-hand side, a
+# change to its step control or to the start's float Gamma2 seeds shows here
 FLOW_GOLDEN = {
-    (2, 3.4, 0.6): (0.2817731372071437, 2.817731372071437e-09),
-    (3, 2.5, 3.3): (0.08410760961326214, 8.410760961326213e-10),
-    (4, 2.183616934054415, 1.1926985565215407): (0.0005920193469958061, 5.92019346995806e-12),
-    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654527411449, 7.194654527411449e-12),
-    (5, 2.3, 1.1): (3.3600615839100974e-06, 3.3600615839100976e-14),
+    (2, 3.4, 0.6): (0.28177313720721625, 2.8177313720721628e-09),
+    (3, 2.5, 3.3): (0.084107609612897, 8.410760961289699e-10),
+    (4, 2.183616934054415, 1.1926985565215407): (0.0005920193470264256, 5.920193470264255e-12),
+    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654527875015, 7.194654527875015e-12),
+    (5, 2.3, 1.1): (3.3600615788510182e-06, 3.3600615788510184e-14),
 }
 
 
