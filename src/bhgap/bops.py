@@ -122,8 +122,9 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     normal floats and the weight terms would silently vanish.
 
     hi_fidelity also builds the weight powers and the Gamma2 seeds in DD
-    (`gamma2_boxed_dd`).  The float64 default (`gamma2_boxed`) is the lo-fi
-    Gram, which stays until every Gram is built in DD.
+    (`gamma2_boxed_dd`, one Gauss-Legendre level per seed).  The float64
+    default (`gamma2_boxed`) is the lo-fi Gram, which stays until every Gram
+    is built in DD.
 
     Returns (M, alpha, beta, iscomplex): the size x size Gram and the alpha
     and beta chains, longer than size, as DD lists.  Row 0 and the fill stop
@@ -221,9 +222,9 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         if hi_fidelity and not iscomplex:
             # deep-truncation determinants amplify these two seeds by up
             # to ~1e6, past the float64 evaluation floor
-            cst = gamma2_boxed_dd(a, s, t)[0]
-            seed_lo = lambda: gamma2_boxed_dd(b, t, s)[0]
-            seed_hi = lambda: gamma2_boxed_dd(b, t, s, K - 1)[0]
+            cst = gamma2_boxed_dd(a, s, t)
+            seed_lo = lambda: gamma2_boxed_dd(b, t, s)
+            seed_hi = lambda: gamma2_boxed_dd(b, t, s, K - 1)
         else:
             cst = w(gamma2_boxed(a, s, t).value)
             seed_lo = lambda: w(gamma2_boxed(b, t, s).value)

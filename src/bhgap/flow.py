@@ -14,9 +14,8 @@ the other variable's infinite cutoff and raises DomainError at its own.
 
 ``integrate`` runs the first-same-as-last Dormand-Prince 4/5 pair with a
 per-component relative error (absolute in log Z).  Constraints are
-monitored, not projected, by default: they are conserved by the exact
-dynamics, so drift is a discretization diagnostic.  An optional
-least-squares projection onto the four linear relations is available.
+monitored, not projected: they are conserved by the exact dynamics, so
+drift is a discretization diagnostic.
 """
 from __future__ import annotations
 
@@ -373,25 +372,6 @@ def constraint_linear_system(fs: FlowState):
     return A, rhs
 
 
-def project_constraints(fs: FlowState) -> FlowState:
-    """Least-squares correction of the four +-1 neighbors onto the linear
-    constraint manifold (optional; drift is monitored by default).
-
-    Rows are weighted by their term scale so the normalized residuals are
-    what gets minimized; the system has rank three, so the minimal-norm
-    correction is used."""
-    A, rhs = constraint_linear_system(fs)
-    eb = fs.bundle
-    cur = np.array([eb.piv[0], eb.piv[2], eb.etav[0], eb.etav[2]])
-    w = 1.0 / np.maximum(np.abs(A).max(axis=1) * np.abs(cur).max(), 1e-300)
-    delta, *_ = np.linalg.lstsq(A * w[:, None], (rhs - A @ cur) * w, rcond=None)
-    new = cur + delta
-    eb2 = eb.copy()
-    eb2.piv = np.array([new[0], eb.piv[1], new[1]])
-    eb2.etav = np.array([new[2], eb.etav[1], new[3]])
-    return FlowState(eb2, fs.logZ)
-
-
 def rhs_decomposition_residual(fs: FlowState) -> float:
     """Total = partial + spectral-chain consistency of the flow right-hand
     sides, checked componentwise on the boundary triples."""
@@ -461,7 +441,7 @@ def _path_segments(path):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
+def integrate(fs0: FlowState, path, tol: float = 1e-8):
     """Integrate the flow along a piecewise-linear (s,t) path with the
     embedded Dormand-Prince 4/5 pair, first-same-as-last.
 
@@ -469,8 +449,7 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
     direction.  An attempt evaluates it six times: stage 7 is taken at the
     fifth-order solution y5 and, once the step is accepted, reused as the
     next step's stage 1; a rejected attempt keeps its stage 1.  Stage 1 is
-    evaluated afresh at the start of each segment and after a step that
-    ``project_constraints`` moved.
+    evaluated afresh at the start of each segment.
 
     The step error is max_i |y5_i - y4_i| / max(|y_i|, |y5_i|), a component
     that is zero at both ends counting zero, except for log Z, whose error
@@ -544,13 +523,11 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8, project: bool = False):
                         f"constraint {int(res.argmax())} drifted to {res.max():.2e}")
                 steps += 1
                 continue
-            if project:
-                cand = project_constraints(cand)
             u += h
             y = cand.vector()
             traj.append(cand)
             steps += 1
-            k1 = None if project else k7
+            k1 = k7
             if err > 0:
                 h = min(2.0 * h, 0.9 * h * (tol / err) ** 0.2)
             else:

@@ -331,17 +331,19 @@ def test_zero_coefficient_corners_are_not_built(monkeypatch):
 
 
 # (m, a, b, xi, psi, s, t) -> the hi-fi Gram's entries, row by row, as (hi, lo)
-# or (re hi, re lo, im hi, im lo), recorded before the zero-coefficient skip
+# or (re hi, re lo, im hi, im lo).  The first key's M_00, M_12 and M_21 carry
+# the one-level Gamma2 seeds' last bits, each within 7e-32 relative of
+# 40-digit mpmath
 HIFI_GRAM_GOLDEN = {
     (3, 0.3, 0.7, 1.0, 1.0, 2.4, 1.9): [
-        (0.31801876593563144, -2.3827785748443058e-17),
+        (0.31801876593563144, -2.382778574844305e-17),
         (0.2408209793067441, 2.932133477260033e-18),
         (0.2597529984293947, 1.596886479329952e-17),
         (0.21721034632363295, -3.717715681392255e-18),
         (0.17708256781665935, 6.232675702350404e-18),
-        (0.19713399955197902, 1.9318947478617374e-18),
+        (0.19713399955197902, 1.9318947478617312e-18),
         (0.24939573852375155, 8.733824150444196e-18),
-        (0.20960868815714273, 1.2973107244642033e-17),
+        (0.20960868815714273, 1.2973107244642039e-17),
         (0.23673715418789992, -1.1622049799271256e-17),
     ],
     (3, 0.3, 0.7, 1.0, 0.6, 1.1, 2.2): [

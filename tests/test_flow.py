@@ -14,7 +14,6 @@ from bhgap.flow import (
     from_moments,
     g_derivative_check,
     integrate,
-    project_constraints,
     rhs_decomposition_residual,
     rhs_total,
     rhs_total_s,
@@ -120,10 +119,10 @@ def test_flow_endpoint_matches_moment_route():
     assert abs(dlz - want_dlz) <= 1e-6
 
 
-def test_flow_t_direction_and_projection_mode():
+def test_flow_t_direction():
     n = 1
     fs0 = from_moments(P, D, n)
-    traj = integrate(fs0, [(1.0, 1.0), (1.0, 1.8)], tol=1e-9, project=True)
+    traj = integrate(fs0, [(1.0, 1.0), (1.0, 1.8)], tol=1e-9)
     ref = from_moments(P, DeformPoint(1.0, 1.8), n)
     got, want = traj[-1].vector(), ref.vector()
     scale = np.maximum(np.abs(want), 1.0)
@@ -166,7 +165,6 @@ def test_constraint_system_finite_at_infinite_cutoff(d):
     fs = from_moments(p, d, 2)
     A, rhs = constraint_linear_system(fs)
     assert np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))
-    assert np.all(np.isfinite(project_constraints(fs).vector()))
 
 
 def test_constraint_system_rhs_at_finite_cutoff():
@@ -238,17 +236,6 @@ def test_flow_seed_builds_one_gram(n):
     assert bops._ldu.cache_info().misses == 1
     dlz = math.log(zdet(p, D, n + 1)) - fs.logZ  # log h_n = -2 log S_n
     assert abs(dlz + 2 * math.log(fs.bundle.sv[1])) <= 1e-12 * max(abs(dlz), 1.0)
-
-
-def test_projection_repairs_neighbor_perturbation():
-    fs = from_moments(P, D, 2)
-    eb = fs.bundle.copy()
-    eb.piv = eb.piv * np.array([1 + 1e-6, 1.0, 1 - 2e-6])
-    eb.etav = eb.etav * np.array([1 - 1e-6, 1.0, 1 + 1e-6])
-    fsp = project_constraints(FlowState(eb, fs.logZ))
-    before = np.abs(constraint_residuals(FlowState(eb, fs.logZ)))[2:6].max()
-    after = np.abs(constraint_residuals(fsp))[2:6].max()
-    assert after <= 1e-3 * before
 
 
 @pytest.mark.parametrize("params", [P, ModelParams(m=2, a=0.3, b=0.7, xi=0.0, psi=0.0)])
@@ -435,23 +422,10 @@ def test_integrate_evaluates_six_stages_per_attempt(monkeypatch, tol):
     assert len(calls) == 6 * 3 + 1
 
 
-def test_integrate_counts_per_segment_and_after_projection(monkeypatch):
+def test_integrate_counts_per_segment(monkeypatch):
     fs0 = from_moments(P, D, 2)
     calls = counted_rhs(monkeypatch)
     traj = integrate(fs0, [(1.0, 1.0), (1.3, 1.0), (1.3, 1.4)], tol=1e-8)
     assert len(traj) > 3 and (len(calls) - 2) % 6 == 0
     # each segment starts with a fresh stage 1 at its own start
     assert calls[0] == (1.0, 1.0) and (1.3, 1.0) in calls[1:]
-    # a projected step moves the state, so its stage 7 is not reused
-    projected = []
-
-    def counting_projection(fs):
-        projected.append(fs)
-        return project_constraints(fs)
-
-    monkeypatch.setattr(flow, "project_constraints", counting_projection)
-    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
-    calls.clear()
-    with pytest.raises(FlowAbort, match="budget"):
-        integrate(fs0, [(1.0, 1.0), (1.3, 1.0)], tol=1e-8, project=True)
-    assert projected and len(calls) == 6 * 3 + 1 + len(projected)

@@ -294,6 +294,8 @@ def test_gamma2_domain_errors():
         gamma2(0.5, 1.0, -3.0)  # pole on the path
     with pytest.raises(DomainError):
         gamma2(-1.5, 0.0, 1.0)  # non-integrable at the origin
+    with pytest.raises(DomainError):
+        specfun.gamma2_boxed(0.5, math.inf, 1.0)  # that is gamma2(a; 0, y)
 
 
 def test_gamma2_inf_sentinel():
@@ -307,23 +309,39 @@ def test_gamma2_complex_y():
     assert relerr(gamma2(a, x, y).value, want) < 1e-11
 
 
+def mp_boxed_dd_relerr(got, a, x, y, shift):
+    # the reference takes u = w^q, q = 1/(1 + a + shift), which absorbs the
+    # endpoint power u^(a+shift) du = q dw that tanh-sinh resolves poorly
+    with mp.workdps(40):
+        q = 1 / (mp.mpf(a) + shift + 1)
+        want = mp.quad(lambda w: q * mp.exp(-w ** q) / (w ** q + mp.mpf(y)),
+                       [0, mp.mpf(x) ** (1 / q)])
+        return abs((mp.mpf(got.hi) + mp.mpf(got.lo)) / want - 1)
+
+
 @pytest.mark.parametrize("a,x,y,shift", [(0.073, 1.02, 2.177, 0), (0.872, 2.177, 1.02, 0),
                                          (0.534, 0.938, 1.003, 15),
                                          (0.7, 3.4, 1.1, 28),  # _dd_gram top seed, m = 8
-                                         (0.3, 20.0, 0.05, 0), (0.3, 0.05, 20.0, 0)])
+                                         (0.7, 3.4, 1.1, 36),  # K - 1 at size 12
+                                         (-0.5, 1.3, 2.1, 0),  # the edge z_ubh supports
+                                         (0.3, 20.0, 0.05, 0), (0.3, 0.05, 20.0, 0),
+                                         (0.3, 700.0, 0.05, 0), (0.3, 0.05, 700.0, 0)])
 def test_gamma2_boxed_dd_reaches_dd_precision(a, x, y, shift):
     # a float64 quadrature rule or a float64 sum a + shift would stop at ~1e-16
-    got, _ = gamma2_boxed_dd(a, x, y, shift)
-    with mp.workdps(40):
-        e = mp.mpf(a) + shift
-        want = mp.quad(lambda u: u ** e * mp.exp(-u) / (u + mp.mpf(y)), [0, mp.mpf(x)])
-        assert abs((mp.mpf(got.hi) + mp.mpf(got.lo)) / want - 1) <= 1e-28
+    assert mp_boxed_dd_relerr(gamma2_boxed_dd(a, x, y, shift), a, x, y, shift) <= 1e-28
+
+
+def test_gamma2_boxed_dd_first_panel_cancels_at_700():
+    # at x = y = 700 the first panel ends at c = 700/64, and its alternating
+    # series cancels terms 1.5e4 times its sum: the value is 2.2e-28 off
+    assert mp_boxed_dd_relerr(gamma2_boxed_dd(0.3, 700.0, 700.0), 0.3, 700.0, 700.0, 0) <= 1e-27
 
 
 def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
-    # the quadrature levels run on the array kernels: the only scalar exp
-    # and pow left are the first panel's c^a (one dd_pow, two dd_exp)
-    calls = {"dd_exp": 0, "dd_pow": 0}
+    # the one quadrature level runs on the array kernels, two vexp (one of
+    # them inside vln); the only scalar exp and pow left are the first
+    # panel's c^a (one dd_pow, two dd_exp)
+    calls = {"dd_exp": 0, "dd_pow": 0, "vexp": 0}
     for name in calls:
         def counted(*args, _fn=getattr(dd, name), _name=name):
             calls[_name] += 1
@@ -331,7 +349,7 @@ def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
         monkeypatch.setattr(dd, name, counted)
     gamma2_boxed_dd.cache_clear()
     gamma2_boxed_dd(0.7, 3.4, 1.1, 28)
-    assert calls == {"dd_exp": 2, "dd_pow": 1}
+    assert calls == {"dd_exp": 2, "dd_pow": 1, "vexp": 2}
 
 
 def test_gamma2_boxed_evaluates_levels_as_arrays(monkeypatch):
@@ -357,7 +375,7 @@ def test_gamma2_boxed_matches_dd_rule():
     for i in range(40):
         a = rng.uniform(-0.4, 1.1) + (rng.randint(10, 33) if i % 2 else 0)
         x, y = rng.uniform(0.3, 35), rng.uniform(0.3, 35)
-        v, _ = gamma2_boxed_dd(a, x, y)
+        v = gamma2_boxed_dd(a, x, y)
         want = v.hi + v.lo
         got = specfun.gamma2_boxed(a, x, y)
         err = abs(got.value - want)
