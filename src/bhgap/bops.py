@@ -146,8 +146,9 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     t01, t11 = ga_on and not psi_off, not (xi_off or psi_off)
     a, b, s, t = p.a, p.b, d.s, d.t
 
-    def w(x):
-        return dd.wrap(x, iscomplex)
+    # dd.wrap(x, iscomplex), and abs(dd.unwrap(x)) for the series' stop test
+    w = (lambda x: dd.wrap(x, True)) if iscomplex else dd.DD
+    mag = (lambda x: abs(x.to_complex())) if iscomplex else abs
 
     def upper_seed(c, y):  # Gamma(c+1) e^y y^c Gamma(-c, y): G2s0 and c0t
         v = gamma(c + 1.0) * math.exp(y) * y ** c * gamma_upper(-c, y).value
@@ -168,6 +169,10 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     # boxed (lower) gammas run downward from a series seed at the top order,
     # everything else grows and runs upward
     GA, GB = [w(gamma(a + 1.0))], [w(gamma(b + 1.0))]
+    # A + k + 1 for k < K - 1: the GA and GB chain factors, and the divisors
+    # of the boxed chains' downward recursions
+    afac = [a_dd + w(k + 1.0) for k in range(K - 1)]
+    bfac = [b_dd + w(k + 1.0) for k in range(K - 1)]
     if hi_fidelity and not iscomplex:
         # the weight values carry the same ~1e6 deep-truncation amplification
         # as the boxed seeds, so they too are built in DD (c^(a+1) as c c^a)
@@ -180,41 +185,41 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         G2s0 = [upper_seed(b, s)]
     for k in range(K - 1):
         if ga_on:
-            GA.append((a_dd + w(k + 1.0)) * GA[-1])
+            GA.append(afac[k] * GA[-1])
         if gb_on:
-            GB.append((b_dd + w(k + 1.0)) * GB[-1])
+            GB.append(bfac[k] * GB[-1])
         if t10:
             G2s0.append(GB[-2] - s_dd * G2s0[-1])
         wsp.append(s_dd * wsp[-1])
         wtp.append(t_dd * wtp[-1])
 
-    def boxed_chain(a0dd, cutdd, wpow, off):
+    def boxed_chain(a0dd, cutdd, wpow, off, fac):
         # top order seeded by the ascending series in DD off the shared weight
         # power: gamma_lower(A, c) = c^A e^-c sum_n c^n / (A (A+1) ... (A+n));
         # the downward recursion then divides errors away
         if off:
             return [zero] * K
-        term = dd.wrap(1.0, iscomplex) / (a0dd + w(float(K)))
+        term = w(1.0) / (a0dd + w(float(K)))
         acc = term
         # the terms grow while n < c - A - K and the sum needs about
         # c + 12 sqrt(c) of them, so the cap grows with the cutoff c
-        n, cap = 0, 400 + 2 * int(abs(dd.unwrap(cutdd)))
-        while abs(dd.unwrap(term)) > 1e-34 * abs(dd.unwrap(acc)) and n < cap:
+        n, cap = K, K + 400 + 2 * int(abs(dd.unwrap(cutdd)))
+        while mag(term) > 1e-34 * mag(acc) and n < cap:
             n += 1
-            term = term * cutdd / (a0dd + w(float(K + n)))
+            term = term * cutdd / (a0dd + w(n))
             acc = acc + term
         out = [wpow[K - 1] * acc]
         for j in range(K - 2, -1, -1):
-            out.append((out[-1] + wpow[j]) / (a0dd + w(j + 1.0)))
+            out.append((out[-1] + wpow[j]) / fac[j])
         out.reverse()
         return out
 
-    LGA = boxed_chain(a_dd, s_dd, wsp, xi_off)
-    LGB = boxed_chain(b_dd, t_dd, wtp, psi_off)
+    LGA = boxed_chain(a_dd, s_dd, wsp, xi_off, afac)
+    LGB = boxed_chain(b_dd, t_dd, wtp, psi_off, bfac)
     aldd = (GA if xi_off else LGA if not ga_on
-            else [om_xi * GA[j] + xi_dd * LGA[j] for j in range(K)])
+            else [om_xi * g + xi_dd * lg for g, lg in zip(GA, LGA)])
     bedd = (GB if psi_off else LGB if not gb_on
-            else [om_psi * GB[k] + psi_dd * LGB[k] for k in range(K)])
+            else [om_psi * g + psi_dd * lg for g, lg in zip(GB, LGB)])
 
     if t01:
         c0t = upper_seed(a, t)
@@ -247,24 +252,25 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     # M reads the first size columns of rows 0..size-1, and the fill of row
     # j + 1 reads row j one column further, so row 0 stops at 2 size - 1
     # columns and each later row at one fewer
+    ab_dd = a_dd + b_dd
+    c00, c10 = om_xi * om_psi, xi_dd * om_psi
+    c01, c11 = om_xi * psi_dd, xi_dd * psi_dd
     row0 = []
     for k in range(2 * size - 1):
-        den = a_dd + b_dd + w(k + 1.0)
-        terms = [om_xi * om_psi * (GA[0] * GB[k])] if t00 else []
+        den = ab_dd + w(k + 1.0)
+        terms = [c00 * (GA[0] * GB[k])] if t00 else []
         if t10:
-            terms.append(xi_dd * om_psi * (LGA[0] * GB[k] + wsp[0] * G2s0[k]))
+            terms.append(c10 * (LGA[0] * GB[k] + wsp[0] * G2s0[k]))
         if t01:
-            terms.append(om_xi * psi_dd * (GA[0] * LGB[k] + wtp[k] * c0t))
+            terms.append(c01 * (GA[0] * LGB[k] + wtp[k] * c0t))
         if t11:
-            terms.append(xi_dd * psi_dd * (LGA[0] * LGB[k] + wsp[0] * lam2[k]
-                                           + wtp[k] * cst))
+            terms.append(c11 * (LGA[0] * LGB[k] + wsp[0] * lam2[k] + wtp[k] * cst))
         num = sum(terms[1:], terms[0])
         # M_00 diverges at the origin unless a + b + 1 > 0
         row0.append(num / den if k or a + b + 1.0 > 0.0 else w(math.nan))
     rows = [row0]
-    for j in range(size - 1):
-        prev = rows[-1]
-        rows.append([aldd[j] * bedd[k] - prev[k + 1] for k in range(len(prev) - 1)])
+    for aj in aldd[:size - 1]:
+        rows.append([aj * bk - r for bk, r in zip(bedd, rows[-1][1:])])
     Mdd = [[rows[j][k] for k in range(size)] for j in range(size)]
     return Mdd, aldd, bedd, iscomplex
 

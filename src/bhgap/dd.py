@@ -5,13 +5,15 @@ A DD holds an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, giving ~31
 significant digits.  CDD is the complex pair.  Only the operations those
 layers need are provided.
 
-The array kernels ``vadd``, ``vmul``, ``vdiv``, ``vexp``, ``vln`` and
-``vsum`` apply the same arithmetic elementwise to pairs ``(hi, lo)`` of
+The arithmetic follows the sloppy double-double rules of Hida, Li & Bailey
+(2001) analysed by Joldes, Muller & Popescu (ACM TOMS 2017).  DD's operators
+inline the error-free transformations below in their exact operation order,
+so each result is bitwise the one the helpers compose, at a fraction of the
+Python calls.  The array kernels ``vadd``, ``vmul``, ``vdiv``, ``vexp``,
+``vln`` and ``vsum`` call the helpers elementwise on pairs ``(hi, lo)`` of
 float64 numpy arrays (or floats, which broadcast), for quadratures that
-evaluate thousands of nodes at once.  They share the error-free
-transformations below with DD, follow the sloppy double-double rules of
-Hida, Li & Bailey (2001) analysed by Joldes, Muller & Popescu (ACM TOMS
-2017), and agree with the scalar ``dd_exp`` and ``dd_ln`` to ~1e-30.
+evaluate thousands of nodes at once; they agree with the scalar ``dd_exp``
+and ``dd_ln`` to ~1e-30.
 """
 from __future__ import annotations
 
@@ -45,6 +47,12 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 
 class DD:
+    """hi + lo in double-double.  The operators inline _two_sum,
+    _quick_two_sum and _two_prod in their exact operation order, so every
+    result is bitwise the helper-composed one (tests/test_dd.py keeps that
+    form as the reference), and build their results without __init__'s
+    float() casts."""
+
     __slots__ = ("hi", "lo")
 
     def __init__(self, hi: float = 0.0, lo: float = 0.0):
@@ -58,42 +66,88 @@ class DD:
         return self.hi + self.lo
 
     def __neg__(self):
-        return DD(-self.hi, -self.lo)
+        r = _new(DD)
+        r.hi = -self.hi
+        r.lo = -self.lo
+        return r
 
     def __abs__(self):
         return abs(self.hi + self.lo)
 
     def __add__(self, other: "DD") -> "DD":
-        s, e = _two_sum(self.hi, other.hi)
-        e += self.lo + other.lo
-        s, e = _quick_two_sum(s, e)
-        return DD(s, e)
+        a, b = self.hi, other.hi
+        s = a + b  # _two_sum(a, b)
+        bb = s - a
+        e = ((a - (s - bb)) + (b - bb)) + (self.lo + other.lo)
+        r = _new(DD)
+        r.hi = h = s + e  # _quick_two_sum(s, e)
+        r.lo = e - (h - s)
+        return r
 
     def __sub__(self, other: "DD") -> "DD":
-        return self + (-other)
+        # self + (-other); x - y is x + (-y) to the bit in IEEE 754
+        a, b = self.hi, -other.hi
+        s = a + b
+        bb = s - a
+        e = ((a - (s - bb)) + (b - bb)) + (self.lo - other.lo)
+        r = _new(DD)
+        r.hi = h = s + e
+        r.lo = e - (h - s)
+        return r
 
     def __mul__(self, other: "DD") -> "DD":
-        p, e = _two_prod(self.hi, other.hi)
-        e += self.hi * other.lo + self.lo * other.hi
-        p, e = _quick_two_sum(p, e)
-        return DD(p, e)
+        a, b = self.hi, other.hi
+        p = a * b  # _two_prod(a, b)
+        ah = 134217729.0 * a  # _SPLITTER
+        ah = ah - (ah - a)
+        al = a - ah
+        bh = 134217729.0 * b
+        bh = bh - (bh - b)
+        bl = b - bh
+        e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (a * other.lo + self.lo * b)
+        r = _new(DD)
+        r.hi = h = p + e  # _quick_two_sum(p, e)
+        r.lo = e - (h - p)
+        return r
 
     def __truediv__(self, other: "DD") -> "DD":
-        q1 = self.hi / other.hi
-        r = self - other * DD(q1)
-        q2 = (r.hi + r.lo) / (other.hi + other.lo)
-        s, e = _quick_two_sum(q1, q2)
-        return DD(s, e)
+        # q1 = hi / hi, r = self - other * DD(q1) (its hi * 0.0 term kept),
+        # q2 = float(r) / float(other), then _quick_two_sum(q1, q2)
+        a, b, blo = self.hi, other.hi, other.lo
+        q1 = a / b
+        p = b * q1
+        bh = 134217729.0 * b
+        bh = bh - (bh - b)
+        bl = b - bh
+        qh = 134217729.0 * q1
+        qh = qh - (qh - q1)
+        ql = q1 - qh
+        e = (((bh * qh - p) + bh * ql + bl * qh) + bl * ql) + (b * 0.0 + blo * q1)
+        ph = p + e
+        pl = e - (ph - p)
+        ph = -ph
+        s = a + ph
+        bb = s - a
+        e = ((a - (s - bb)) + (ph - bb)) + (self.lo - pl)
+        rh = s + e
+        q2 = (rh + (e - (rh - s))) / (b + blo)
+        r = _new(DD)
+        r.hi = h = q1 + q2
+        r.lo = q2 - (h - q1)
+        return r
 
     def sqrt(self) -> "DD":
         if self.hi == 0.0:
             return DD(0.0)
         if self.hi < 0.0:
             raise ValueError("DD.sqrt of a negative number")
-        x = math.sqrt(self.hi)
         # one Newton step in DD
-        xd = DD(x)
-        return (xd + self / xd) * DD(0.5)
+        xd = DD(math.sqrt(self.hi))
+        return (xd + self / xd) * _HALF
+
+
+_new = object.__new__
+_HALF = DD(0.5)
 
 
 class CDD:

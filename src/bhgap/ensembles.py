@@ -74,6 +74,15 @@ def _warn_precision(est_rel: float, what: str):
                       PrecisionWarning)
 
 
+def _warn_range(val, est: float, what: str, *gen) -> None:
+    """PrecisionWarning when a gap probability, the value at real generating
+    variables gen in [0, 1], lies outside [-est, 1 + est]."""
+    if (all(not isinstance(g, complex) and 0.0 <= g <= 1.0 for g in gen)
+            and not -est <= val <= 1.0 + est):
+        warnings.warn(f"{what} value {val:.6g} lies outside [0, 1] beyond its estimated"
+                      f" error {est:.2e}", PrecisionWarning)
+
+
 def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
     """Two-matrix-model gap generating function by the moment determinant.
 
@@ -102,6 +111,7 @@ def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
         val = go(True)
     est = abs(val) * (1e-11 if not deep else 1e-10)
     _warn_precision(est / max(abs(val), 1e-300), "z_cl2m determinant")
+    _warn_range(val, est, "z_cl2m", p.xi, p.psi)
     if isinstance(val, complex) and val.imag == 0:
         val = val.real
     return GapResult(val, Route.DETERMINANT, est)
@@ -160,6 +170,7 @@ def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
         val = pref * _ubh_pf_dd(p, ss, hi_fidelity=True) / sgn
     est = abs(val) * (1e-11 if not deep else 1e-10)
     _warn_precision(est / max(abs(val), 1e-300), "z_ubh pfaffian")
+    _warn_range(val, est, "z_ubh", p.xi)
     if isinstance(val, complex) and val.imag == 0:
         val = val.real
     return GapResult(val, Route.PFAFFIAN, est)
@@ -181,7 +192,9 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
     fs0 = _flow.from_moments(p, DeformPoint(1.0, 1.0), p.m)
     traj = _flow.integrate(fs0, [(1.0, 1.0), (d.s, d.t)], tol=tol)
     val = math.exp(traj[-1].logZ) / c
-    return GapResult(val, Route.FLOW, abs(val) * max(10 * tol, 1e-9))
+    est = abs(val) * max(10 * tol, 1e-9)
+    _warn_range(val, est, "z_cl2m_flow", p.xi, p.psi)
+    return GapResult(val, Route.FLOW, est)
 
 
 # ---------------------------------------------------------------------------

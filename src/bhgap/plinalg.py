@@ -30,11 +30,12 @@ def dd_lu_det(A):
         if p != k:
             A[p], A[k] = A[k], A[p]
             sign = -sign
-        det = A[k][k] if det is None else det * A[k][k]
-        for i in range(k + 1, n):
-            f = A[i][k] / A[k][k]
-            for j in range(k, n):
-                A[i][j] = A[i][j] - f * A[k][j]
+        piv = A[k][k]
+        det = piv if det is None else det * piv
+        tail = A[k][k:]
+        for row in A[k + 1:]:
+            f = row[k] / piv
+            row[k:] = [x - f * y for x, y in zip(row[k:], tail)]
     if det is None:
         return 1.0
     return det if sign > 0 else -det
@@ -60,16 +61,16 @@ def dd_ldu(A):
         if abs(piv) == 0.0:
             return h, linv[:k], uinv[:k], k
         h.append(piv)
+        tail, lk, uk = A[k][k + 1:], linv[k], uinv[k]
         for i in range(k + 1, n):
-            f = A[i][k] / piv
-            for j in range(k + 1, n):
-                A[i][j] = A[i][j] - f * A[k][j]
-            for c in range(k + 1):
-                linv[i][c] = linv[i][c] - f * linv[k][c]
+            row, li = A[i], linv[i]
+            f = row[k] / piv
+            row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
+            li[:k + 1] = [x - f * y for x, y in zip(li, lk)]
         for j in range(k + 1, n):
             f = A[k][j] / piv
-            for c in range(k + 1):
-                uinv[j][c] = uinv[j][c] - f * uinv[k][c]
+            uj = uinv[j]
+            uj[:k + 1] = [x - f * y for x, y in zip(uj, uk)]
     return h, linv, uinv, None
 
 
@@ -90,12 +91,12 @@ def dd_pfaffian(A):
         if abs(piv) == 0.0:
             return 0.0
         pf = A[k][k + 1] if pf is None else pf * A[k][k + 1]
+        k1 = k + 1
         for i in range(k + 2, n):
             f = A[i][k] / piv
-            for j in range(n):
-                A[i][j] = A[i][j] - f * A[k + 1][j]
+            A[i] = [x - f * y for x, y in zip(A[i], A[k1])]
             for row in A:
-                row[i] = row[i] - f * row[k + 1]
+                row[i] = row[i] - f * row[k1]
     out = A[n - 2][n - 1] if pf is None else pf * A[n - 2][n - 1]
     return out if sign > 0 else -out
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import dd
 from .params import INF, DomainError, PoleError
@@ -344,6 +343,14 @@ def _as_real(v: complex, err: float) -> SpecFunResult:
 # ---------------------------------------------------------------------------
 # Gamma2
 # ---------------------------------------------------------------------------
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call: scipy is most of the
+    package's import time, and only the adaptive Gamma2 quadratures use it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
 
 def _quad_c(f, lo: float, hi: float, want_imag: bool = True):
     """Integrate a complex-valued integrand over [lo, hi] (two real quads).

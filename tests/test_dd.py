@@ -9,9 +9,9 @@ from bhgap import dd
 RNG = np.random.default_rng(2024)
 
 
-def dd_pairs(xs):
+def dd_pairs(xs, rng=RNG):
     """xs with a random double-double tail, as a (hi, lo) pair of arrays."""
-    lo = xs * RNG.uniform(-1.1e-16, 1.1e-16, xs.size)
+    lo = xs * rng.uniform(-1.1e-16, 1.1e-16, xs.size)
     hi = xs + lo
     return hi, lo - (hi - xs)
 
@@ -85,3 +85,92 @@ def test_ln_of_tiny_arguments(x):
         got.append(dd.DD(h[0], l[0]))
         for g in got:
             assert abs((mpmath.mpf(g.hi) + mpmath.mpf(g.lo) - want) / want) <= 1e-30
+
+
+# DD arithmetic as composed from the module's error-free transformations, the
+# form the inlined operators must reproduce bit for bit
+def ref_add(x, y):
+    s, e = dd._two_sum(x.hi, y.hi)
+    e += x.lo + y.lo
+    return dd._quick_two_sum(s, e)
+
+
+def ref_sub(x, y):
+    return ref_add(x, dd.DD(-y.hi, -y.lo))
+
+
+def ref_mul(x, y):
+    p, e = dd._two_prod(x.hi, y.hi)
+    e += x.hi * y.lo + x.lo * y.hi
+    return dd._quick_two_sum(p, e)
+
+
+def ref_div(x, y):
+    q1 = x.hi / y.hi
+    r = ref_sub(x, dd.DD(*ref_mul(y, dd.DD(q1))))
+    return dd._quick_two_sum(q1, (r[0] + r[1]) / (y.hi + y.lo))
+
+
+def ref_sqrt(x):
+    if x.hi == 0.0:
+        return 0.0, 0.0
+    xd = dd.DD(math.sqrt(x.hi))
+    return ref_mul(dd.DD(*ref_add(xd, dd.DD(*ref_div(x, xd)))), dd.DD(0.5))
+
+
+def bits(pair):
+    """(hi, lo) as hex strings, which tell -0.0 from 0.0."""
+    return tuple(float(v).hex() for v in pair)
+
+
+def random_dds(rng, n):
+    # signs mixed, exponents over ±280 decades, random tails
+    xs = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-280.0, 280.0, n)
+    return [dd.DD(h, l) for h, l in zip(*dd_pairs(xs, rng))]
+
+
+def edge_dds():
+    tiny = 5e-324
+    out = [dd.DD(0.0), dd.DD(-0.0), dd.DD(0.0, -0.0), dd.DD(-0.0, -0.0),
+           dd.DD(1.0), dd.DD(-1.0), dd.DD(1.0, 1e-17), dd.DD(1.0, -1e-17),
+           dd.DD(1.0, tiny), dd.DD(-1.0, -tiny), dd.DD(3e-308, 1e-320), dd.DD(1e-300, -tiny),
+           dd.DD(1e300), dd.DD(1e300, 3e283), dd.DD(-1.7e300, 1e284), dd.DD(9.9e299, -2e283),
+           dd.DD(1.0 / 3.0, 1.0 / 3.0 * 2.0 ** -54), dd.DD(math.pi, 1.2246467991473532e-16)]
+    # operands that cancel in part or in full against the ones above
+    out += [dd.DD(-x.hi, -x.lo) for x in out] + [dd.DD(-1.0, 1e-17), dd.DD(-math.pi)]
+    return out
+
+
+def kernel_pairs():
+    rng = np.random.default_rng(90017)
+    xs, ys = random_dds(rng, 1999), random_dds(rng, 1999)
+    # near-cancelling random pairs: y = -x to within a few ulps
+    near = [dd.DD(-x.hi * (1.0 + k * 2.0 ** -52), -x.lo) for x, k in
+            zip(xs[:300], rng.integers(-4, 5, 300))]
+    edges = edge_dds()
+    return (list(zip(xs, ys)) + list(zip(xs[:300], near))
+            + [(x, y) for x in edges for y in edges])
+
+
+@pytest.mark.parametrize("op, ref", [("__add__", ref_add), ("__sub__", ref_sub),
+                                     ("__mul__", ref_mul), ("__truediv__", ref_div)])
+def test_scalar_kernel_bitwise_equals_helper_form(op, ref):
+    mismatches = []
+    for x, y in kernel_pairs():
+        if op == "__truediv__" and y.hi == 0.0:
+            continue
+        got = getattr(x, op)(y)
+        if bits((got.hi, got.lo)) != bits(ref(x, y)):
+            mismatches.append((x, y, got))
+    assert mismatches == []
+
+
+def test_scalar_sqrt_and_neg_bitwise_equal_helper_form():
+    rng = np.random.default_rng(7)
+    xs = [dd.DD(h, l) for h, l in zip(*dd_pairs(10.0 ** rng.uniform(-300.0, 300.0, 999), rng))]
+    xs += [x for x in edge_dds() if x.hi >= 0.0]
+    for x in xs:
+        got = x.sqrt()
+        assert bits((got.hi, got.lo)) == bits(ref_sqrt(x))
+        neg = -x
+        assert bits((neg.hi, neg.lo)) == bits((-x.hi, -x.lo))

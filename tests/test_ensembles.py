@@ -142,6 +142,25 @@ def test_z_ubh_tiny_value_is_not_flagged():
     assert abs(r.value - math.sqrt(zc)) <= r.est_error <= 1e-9 * r.value
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: z_cl2m(ModelParams(14, 0.3, 0.7, 1, 1), DeformPoint(30, 40)), 121162.8),
+    (lambda: z_ubh(ModelParams(14, 0.3, 0, 1), 30.0), -4924.8),
+])
+def test_gap_value_outside_unit_interval_warns(call, value):
+    # the lo-fi Gram loses every digit at m = 14; a probability far outside
+    # [-est_error, 1 + est_error] may not pass quietly, and is returned as is
+    with pytest.warns(PrecisionWarning, match="outside"):
+        r = call()
+    assert abs(r.value - value) < 0.1 and r.est_error < 1e-5
+
+
+def test_gap_value_inside_unit_interval_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrecisionWarning)
+        r = z_cl2m(ModelParams(10, 0.3, 0.7, 1, 1), DeformPoint(30, 40))
+    assert abs(r.value - 0.99469) < 1e-5
+
+
 def test_printed_bridge_constant_differs_by_2_to_m():
     # the 2^m-scaled variant fails by exactly (2^m - 1): the normalized
     # generating functions already agree without the constant

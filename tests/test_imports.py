@@ -1,9 +1,14 @@
 """Every name a bhgap module imports is used in that module, every
 private helper it defines is used somewhere in the package, every
-parameter is read by its function, and every attribute the benchmark
-tracer wraps exists."""
+parameter is read by its function, importing the package leaves scipy
+out, and the benchmark tracer finds and restores every attribute it
+wraps."""
 import ast
 import importlib
+import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bhgap"
@@ -84,23 +89,34 @@ def test_no_unused_parameters():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
-def tracer_tables() -> dict:
-    """LAYERS and CACHES of perfbench/tracer.py, read from its source
-    without importing it."""
-    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracer.py").read_text())
-    return {t.id: ast.literal_eval(node.value) for node in tree.body
-            if isinstance(node, ast.Assign)
-            for t in node.targets if isinstance(t, ast.Name) and t.id in ("LAYERS", "CACHES")}
-
-
 def test_tracer_wrap_sites_resolve():
-    # the benchmark tracer wraps bhgap attributes by name; a renamed or moved
-    # function would otherwise break `perfbench/run.py --trace 1` unnoticed
-    tables = tracer_tables()
-    assert set(tables) == {"LAYERS", "CACHES"}
-    missing = [f"{mod}.{attr}" for _, mod, attr, _ in tables["LAYERS"]
-               if not hasattr(importlib.import_module(f"bhgap.{mod}"), attr)]
-    uncached = [f"{mod}.{attr}" for _, mod, attr in tables["CACHES"]
-                if not hasattr(getattr(importlib.import_module(f"bhgap.{mod}"), attr, None),
-                               "cache_info")]
-    assert (missing, uncached) == ([], [])
+    # the benchmark tracer wraps bhgap attributes by name; a renamed function
+    # or a lost lru_cache would otherwise break `perfbench/run.py --trace 1`
+    # unnoticed.  Loaded from perfbench/, its install() must find every
+    # LAYERS attribute and CACHES cache_info, and close() put back the very
+    # objects it replaced
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [(importlib.import_module(f"bhgap.{mod}"), attr) for _, mod, attr, _ in tracer.LAYERS]
+    before = [getattr(mod, attr) for mod, attr in sites]
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert set(t.hit_ratios()) == {name for name, _, _ in tracer.CACHES}
+        assert all(getattr(mod, attr) is not orig
+                   for (mod, attr), orig in zip(sites, before))
+    finally:
+        t.close()
+    assert all(getattr(mod, attr) is orig for (mod, attr), orig in zip(sites, before))
+
+
+def test_import_leaves_scipy_out():
+    # scipy is most of the import time and only the adaptive quadratures
+    # need it; specfun.quad imports it on first call
+    code = ("import sys, bhgap, bhgap.ensembles, bhgap.bops, bhgap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
