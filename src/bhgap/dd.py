@@ -143,11 +143,10 @@ class DD:
             raise ValueError("DD.sqrt of a negative number")
         # one Newton step in DD
         xd = DD(math.sqrt(self.hi))
-        return (xd + self / xd) * _HALF
+        return (xd + self / xd) * DD(0.5)
 
 
 _new = object.__new__
-_HALF = DD(0.5)
 
 
 class CDD:

@@ -61,16 +61,14 @@ def dd_ldu(A):
         if abs(piv) == 0.0:
             return h, linv[:k], uinv[:k], k
         h.append(piv)
-        tail, lk, uk = A[k][k + 1:], linv[k], uinv[k]
+        tail = A[k][k + 1:]
         for i in range(k + 1, n):
-            row, li = A[i], linv[i]
-            f = row[k] / piv
-            row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
-            li[:k + 1] = [x - f * y for x, y in zip(li, lk)]
+            f = A[i][k] / piv
+            A[i][k + 1:] = [x - f * y for x, y in zip(A[i][k + 1:], tail)]
+            linv[i][:k + 1] = [x - f * y for x, y in zip(linv[i], linv[k])]
         for j in range(k + 1, n):
             f = A[k][j] / piv
-            uj = uinv[j]
-            uj[:k + 1] = [x - f * y for x, y in zip(uj, uk)]
+            uinv[j][:k + 1] = [x - f * y for x, y in zip(uinv[j], uinv[k])]
     return h, linv, uinv, None
 
 
@@ -91,12 +89,11 @@ def dd_pfaffian(A):
         if abs(piv) == 0.0:
             return 0.0
         pf = A[k][k + 1] if pf is None else pf * A[k][k + 1]
-        k1 = k + 1
         for i in range(k + 2, n):
             f = A[i][k] / piv
-            A[i] = [x - f * y for x, y in zip(A[i], A[k1])]
+            A[i] = [x - f * y for x, y in zip(A[i], A[k + 1])]
             for row in A:
-                row[i] = row[i] - f * row[k1]
+                row[i] = row[i] - f * row[k + 1]
     out = A[n - 2][n - 1] if pf is None else pf * A[n - 2][n - 1]
     return out if sign > 0 else -out
 
