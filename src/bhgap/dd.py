@@ -47,11 +47,9 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 
 class DD:
-    """hi + lo in double-double.  The operators inline _two_sum,
-    _quick_two_sum and _two_prod in their exact operation order, so every
-    result is bitwise the helper-composed one (tests/test_dd.py keeps that
-    form as the reference), and build their results without __init__'s
-    float() casts."""
+    """hi + lo.  The operators inline the helpers above in their exact
+    operation order, bitwise equal to the helper-composed form that
+    tests/test_dd.py keeps, and skip __init__'s float() casts."""
 
     __slots__ = ("hi", "lo")
 
