@@ -44,8 +44,8 @@ class GapResult:
     est_error: float
 
 
-def normalizations(p: ModelParams):
-    """(C^C-L2M, C^UB-H, C^B-HFT) by log-gamma accumulation."""
+def c_cl2m(p: ModelParams) -> float:
+    """C^C-L2M by log-gamma accumulation."""
     m, a, b = p.m, p.a, p.b
     lg = 0.0
     for i in range(1, m):
@@ -54,18 +54,26 @@ def normalizations(p: ModelParams):
         lg += log_gamma(a + 1.0 + k) + log_gamma(b + 1.0 + k)
     for i in range(1, m + 1):
         lg += log_gamma(a + b + i) - log_gamma(m + a + b + i)
-    c_cl2m = math.exp(lg)
+    return math.exp(lg)
+
+
+def c_ubh(p: ModelParams) -> float:
+    """C^UB-H by log-gamma accumulation."""
+    m, a = p.m, p.a
     lg = 0.5 * m * math.log(math.pi) + log_gamma(m + 1.0) - m * (2 * a + m) * math.log(2.0)
     for i in range(1, m + 1):
         lg += log_gamma(float(i)) + log_gamma(2 * a + i + 1.0) - log_gamma(a + i + 0.5)
-    c_ubh = math.exp(lg)
-    kappa = 0.5 * m * (2 * a + m + 1)
+    return math.exp(lg)
+
+
+def c_bhft(p: ModelParams) -> float:
+    """C^B-HFT by log-gamma accumulation."""
+    m, a = p.m, p.a
     lg = (0.5 * m * math.log(math.pi) - m * (2 * a + m) * math.log(2.0)
-          - log_gamma(m + 1.0) - log_gamma(kappa))
+          - log_gamma(m + 1.0) - log_gamma(0.5 * m * (2 * a + m + 1)))
     for i in range(1, m + 1):
         lg += log_gamma(i + 1.0) + log_gamma(2 * a + i + 1.0) - log_gamma(a + i + 0.5)
-    c_bhft = math.exp(lg)
-    return c_cl2m, c_ubh, c_bhft
+    return math.exp(lg)
 
 
 def _warn_precision(est_rel: float, what: str):
@@ -98,7 +106,7 @@ def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
     from .bops import _dd_gram, _require_integrable
 
     _require_integrable(p)
-    c, _, _ = normalizations(p)
+    c = c_cl2m(p)
 
     def go(hi_fidelity):
         mdd, _, _, _ = _dd_gram(p, d, p.m, hi_fidelity)
@@ -161,8 +169,7 @@ def _pf_sign(m: int) -> float:
 def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
     """One-species gap generating function by the skew Pfaffian route."""
     ss = s if s is not None else 1.0
-    _, c_ubh, _ = normalizations(p)
-    pref = math.exp(log_gamma(p.m + 1.0)) / c_ubh
+    pref = math.exp(log_gamma(p.m + 1.0)) / c_ubh(p)
     sgn = _pf_sign(p.m)
     val = pref * _ubh_pf_dd(p, ss) / sgn
     deep = abs(val) < 1e-2 and not isinstance(p.xi, complex)
@@ -188,7 +195,7 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
     from . import flow as _flow
 
     tol = 1e-9
-    c, _, _ = normalizations(p)
+    c = c_cl2m(p)
     fs0 = _flow.from_moments(p, DeformPoint(1.0, 1.0), p.m)
     traj = _flow.integrate(fs0, [(1.0, 1.0), (d.s, d.t)], tol=tol)
     val = math.exp(traj[-1].logZ) / c
@@ -276,9 +283,9 @@ def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32) -> GapResult
         raise DomainError(f"cutoff must be positive, got {tt}")
     m, a, xi = p.m, p.a, p.xi
     kappa = 0.5 * m * (m + 2 * a + 1)
-    _, c_ubh, c_bhft = normalizations(p)
-    scale = c_ubh / (math.exp(log_gamma(m + 1.0)) * c_bhft)
-    pref = math.exp(log_gamma(m + 1.0)) / c_ubh
+    cu = c_ubh(p)
+    scale = cu / (math.exp(log_gamma(m + 1.0)) * c_bhft(p))
+    pref = math.exp(log_gamma(m + 1.0)) / cu
     sgn = _pf_sign(m)
     n_active = sum(1 for k in range(m + 1) if 1.0 - k * tt > 1e-9)
     rs = 1.0 - tt * np.arange(n_active)

@@ -12,10 +12,14 @@ for the identity checks.  An infinite cutoff zeroes that side's boundary
 values, brackets and kernels, so each flow's right-hand side is finite at
 the other variable's infinite cutoff and raises DomainError at its own.
 
-``integrate`` runs the first-same-as-last Dormand-Prince 4/5 pair with a
-per-component relative error (absolute in log Z).  Constraints are
-monitored, not projected: they are conserved by the exact dynamics, so
-drift is a discretization diagnostic.
+The eight constraint residuals likewise come from one plain-float function,
+``residuals``, of the 24-vector, which reads the weights, brackets and
+G-matrix products ``rhs_total`` reads; ``constraint_residuals`` is a call of
+it.  ``integrate`` runs the first-same-as-last Dormand-Prince 4/5 pair with
+a per-component relative error (absolute in log Z) on vectors, and builds a
+FlowState only for an accepted step.  Constraints are monitored, not
+projected: they are conserved by the exact dynamics, so drift is a
+discretization diagnostic.
 """
 from __future__ import annotations
 
@@ -251,22 +255,22 @@ def rhs_total(y, n, a, b, xi, psi, s, t, ds, dt) -> list:
     return out
 
 
-def _rhs_of_state(fs: FlowState, ds: float, dt: float) -> np.ndarray:
+def _state_args(fs: FlowState) -> tuple:
+    """The state's leading arguments of ``rhs_total`` and ``residuals``."""
     eb = fs.bundle
-    return np.array(rhs_total(fs.vector().tolist(), eb.n, eb.a, eb.b, eb.xi, eb.psi,
-                              eb.s, eb.t, ds, dt))
+    return fs.vector().tolist(), eb.n, eb.a, eb.b, eb.xi, eb.psi, eb.s, eb.t
 
 
 def rhs_total_s(fs: FlowState) -> np.ndarray:
     """d/ds of the 24-component state vector along the s-flow: ``rhs_total``
     in the direction (1, 0).  Raises DomainError at an infinite s."""
-    return _rhs_of_state(fs, 1.0, 0.0)
+    return np.array(rhs_total(*_state_args(fs), 1.0, 0.0))
 
 
 def rhs_total_t(fs: FlowState) -> np.ndarray:
     """d/dt of the 24-component state vector along the t-flow: ``rhs_total``
     in the direction (0, 1).  Raises DomainError at an infinite t."""
-    return _rhs_of_state(fs, 0.0, 1.0)
+    return np.array(rhs_total(*_state_args(fs), 0.0, 1.0))
 
 
 def _kernels_from_state(eb: EvalBundle, lb) -> dict:
@@ -292,55 +296,53 @@ def _kernels_from_state(eb: EvalBundle, lb) -> dict:
 # constraints
 # ---------------------------------------------------------------------------
 
-def constraint_residuals(fs: FlowState) -> np.ndarray:
-    """The eight constraint residuals, each normalized by its largest term."""
-    eb = fs.bundle
-    n, a, b, s, t = eb.n, eb.a, eb.b, eb.s, eb.t
-    _, _, wS, wT = deformation_weights(eb)
-    # at an infinite cutoff that side's boundary values are zero and enter
-    # only through the vanishing weight: its brackets and bilinear are zero
-    br = brackets(eb)
+def _scale(*terms) -> float:
+    """The largest |term|, at least 1: a residual's normalizer."""
+    return max(*map(abs, terms), 1.0)
+
+
+def residuals(y, n, a, b, xi, psi, s, t) -> list:
+    """The eight constraint residuals of the 24-component state vector y at
+    (s, t) in plain floats, each normalized by its largest term (at least 1),
+    from the weights, brackets and G-matrix products ``rhs_total`` reads.  An
+    infinite cutoff zeroes that side's boundary values, brackets and bilinear
+    residual.  A NaN in y gives a NaN residual."""
+    p, q, p1, q1 = y[0:3], y[3:6], y[6:9], y[9:12]
+    piv, etav, X, Y, sv = y[12:15], y[15:18], y[18], y[19], y[20:23]
+    _, _, wS, wT = cutoff_weights(s, t, a, b, xi, psi)
+    br = bracket_terms(sv, p, q, p1, q1, X, Y, s, t)
     rp, rm = br.rp, br.rm
-    pe = eb.piv[1] * eb.etav[1]
-    out = np.zeros(8)
-
-    def norm(vals):
-        return max(max(abs(v) for v in vals), 1.0)
-
-    # (1) X + Y = pi_n eta_n
-    terms = [eb.X, eb.Y, pe]
-    out[0] = (eb.X + eb.Y - pe) / norm(terms)
-    # (2) pi_n eta_n = 2n+a+b+1 + deformation terms
-    t2 = [pe, 2 * n + a + b + 1.0, wS * eb.p[1] * eb.q1[1], wT * eb.p1[1] * eb.q[1]]
-    out[1] = (pe - t2[1] - t2[2] - t2[3]) / norm(t2)
-    # (3) X evaluation
-    t3 = [eb.X, rp * eb.piv[0] * eb.etav[1], rm * eb.piv[1] * eb.etav[2],
-          wS * rp * eb.p[0] * eb.q1[1], wS * rm * eb.p[1] * eb.q1[2],
-          wT * rp * eb.p1[0] * eb.q[1], wT * rm * eb.p1[1] * eb.q[2]]
-    out[2] = (eb.X - (t3[1] - t3[2] - (t3[3] - t3[4]) - (t3[5] - t3[6]))) / norm(t3)
-    # (4) Y evaluation
-    t4 = [eb.Y, rp * eb.piv[1] * eb.etav[0], rm * eb.piv[2] * eb.etav[1],
-          wS * rp * eb.p[1] * eb.q1[0], wS * rm * eb.p[2] * eb.q1[1],
-          wT * rp * eb.p1[1] * eb.q[0], wT * rm * eb.p1[2] * eb.q[1]]
-    out[3] = (eb.Y - (t4[1] - t4[2] - (t4[3] - t4[4]) - (t4[5] - t4[6]))) / norm(t4)
-    # (5) X vs eta ratios
-    t5 = [eb.X, n + a, rp * eb.etav[0] / eb.etav[1], rm * eb.etav[2] / eb.etav[1],
-          wS / pe * eb.q1[1] * br.bry_p, wT / pe * eb.q[1] * br.bry_p1]
-    out[4] = (eb.X - t5[1] - t5[2] + t5[3] + t5[4] + t5[5]) / norm(t5)
-    # (6) Y vs pi ratios
-    t6 = [eb.Y, n + b, rp * eb.piv[0] / eb.piv[1], rm * eb.piv[2] / eb.piv[1],
-          wS / pe * eb.p[1] * br.brx_q1, wT / pe * eb.p1[1] * br.brx_q]
-    out[5] = (eb.Y - t6[1] - t6[2] + t6[3] + t6[4] + t6[5]) / norm(t6)
-    # (7)+(8) bilinear orthogonality at anti-incidence
+    pe = piv[1] * etav[1]
+    # (2) pi_n eta_n = 2n+a+b+1 + deformation terms, (3) and (4) the X and Y
+    # evaluations, (5) X against the eta ratios, (6) Y against the pi ratios
+    t2 = (pe, 2 * n + a + b + 1.0, wS * p[1] * q1[1], wT * p1[1] * q[1])
+    t3 = (X, rp * piv[0] * etav[1], rm * piv[1] * etav[2], wS * rp * p[0] * q1[1],
+          wS * rm * p[1] * q1[2], wT * rp * p1[0] * q[1], wT * rm * p1[1] * q[2])
+    t4 = (Y, rp * piv[1] * etav[0], rm * piv[2] * etav[1], wS * rp * p[1] * q1[0],
+          wS * rm * p[2] * q1[1], wT * rp * p1[1] * q[0], wT * rm * p1[2] * q[1])
+    t5 = (X, n + a, rp * etav[0] / etav[1], rm * etav[2] / etav[1],
+          wS / pe * q1[1] * br.bry_p, wT / pe * q[1] * br.bry_p1)
+    t6 = (Y, n + b, rp * piv[0] / piv[1], rm * piv[2] / piv[1],
+          wS / pe * p[1] * br.brx_q1, wT / pe * p1[1] * br.brx_q)
+    out = [(X + Y - pe) / _scale(X, Y, pe),  # (1) X + Y = pi_n eta_n
+           (pe - t2[1] - t2[2] - t2[3]) / _scale(*t2),
+           (X - (t3[1] - t3[2] - (t3[3] - t3[4]) - (t3[5] - t3[6]))) / _scale(*t3),
+           (Y - (t4[1] - t4[2] - (t4[3] - t4[4]) - (t4[5] - t4[6]))) / _scale(*t4),
+           (X - t5[1] - t5[2] + t5[3] + t5[4] + t5[5]) / _scale(*t5),
+           (Y - t6[1] - t6[2] + t6[3] + t6[4] + t6[5]) / _scale(*t6), 0.0, 0.0]
+    # (7) and (8): bilinear orthogonality at anti-incidence
     if s != INF:
-        g_s = kernels.gmatrix(eb, s, -s)
-        v7 = eb.p @ g_s @ eb.q1
-        out[6] = v7 / norm([abs(eb.p).max() * abs(g_s @ eb.q1).max()])
+        g = _gvec(rp, rm, X, Y, s, -s, q1)
+        out[6] = _dot(p, g) / _scale(max(map(abs, p)) * max(map(abs, g)))
     if t != INF:
-        g_t = kernels.gmatrix(eb, -t, t)
-        v8 = eb.p1 @ g_t @ eb.q
-        out[7] = v8 / norm([abs(eb.p1).max() * abs(g_t @ eb.q).max()])
+        g = _gvec(rp, rm, X, Y, -t, t, q)
+        out[7] = _dot(p1, g) / _scale(max(map(abs, p1)) * max(map(abs, g)))
     return out
+
+
+def constraint_residuals(fs: FlowState) -> np.ndarray:
+    """``residuals`` of the state, as an array."""
+    return np.array(residuals(*_state_args(fs)))
 
 
 def constraint_linear_system(fs: FlowState):
@@ -384,30 +386,21 @@ def rhs_decomposition_residual(fs: FlowState) -> float:
     tot_s = rhs_total_s(fs)
     tot_t = rhs_total_t(fs)
     worst = 0.0
-    # s-flow, P(s): total = partial + d/dx
-    partial = (lb.B_inf0 + ws * kv["k01_n"] * np.eye(3)) @ eb.p
-    chain = lax.deriv_at_s(lb, s, t) @ eb.p
-    got = tot_s[0:3]
-    worst = max(worst, np.abs(got - partial - chain).max()
-                / max(np.abs(got).max(), 1.0))
-    # s-flow, Q1(-s): total = partial - d/dy with the e^y y^-b gauge stripped
-    partial = (lb.B_inf0b + ws * kv["k01_n"] * np.eye(3)) @ eb.q1
-    chain_g = lax.deriv_at_mt(qb, t, s) @ eb.q1 - (1.0 + b / s) * eb.q1
-    got = tot_s[9:12]
-    worst = max(worst, np.abs(got - partial + chain_g).max()
-                / max(np.abs(got).max(), 1.0))
-    # t-flow, Q(t): total = partial + d/dy
-    partial = (lb.C_inf0b + wt * kv["k10_n"] * np.eye(3)) @ eb.q
-    chain = lax.deriv_at_s(qb, t, s) @ eb.q
-    got = tot_t[3:6]
-    worst = max(worst, np.abs(got - partial - chain).max()
-                / max(np.abs(got).max(), 1.0))
-    # t-flow, P1(-t): total = partial - d/dx with the e^x x^-a gauge stripped
-    partial = (lb.C_inf0 + wt * kv["k10_n"] * np.eye(3)) @ eb.p1
-    chain_g = lax.deriv_at_mt(lb, s, t) @ eb.p1 - (1.0 + a / t) * eb.p1
-    got = tot_t[6:9]
-    worst = max(worst, np.abs(got - partial + chain_g).max()
-                / max(np.abs(got).max(), 1.0))
+    # (total, coefficient matrix, weight times kernel limit, triple, chain
+    # term): total = partial + chain, where partial = (B + w k I) v
+    for got, mat, wk, v, chain in (
+            # s-flow, P(s): the chain term is d/dx
+            (tot_s[0:3], lb.B_inf0, ws * kv["k01_n"], eb.p, lax.deriv_at_s(lb, s, t) @ eb.p),
+            # s-flow, Q1(-s): -d/dy with the e^y y^-b gauge stripped
+            (tot_s[9:12], lb.B_inf0b, ws * kv["k01_n"], eb.q1,
+             (1.0 + b / s) * eb.q1 - lax.deriv_at_mt(qb, t, s) @ eb.q1),
+            # t-flow, Q(t): d/dy
+            (tot_t[3:6], lb.C_inf0b, wt * kv["k10_n"], eb.q, lax.deriv_at_s(qb, t, s) @ eb.q),
+            # t-flow, P1(-t): -d/dx with the e^x x^-a gauge stripped
+            (tot_t[6:9], lb.C_inf0, wt * kv["k10_n"], eb.p1,
+             (1.0 + a / t) * eb.p1 - lax.deriv_at_mt(lb, s, t) @ eb.p1)):
+        partial = (mat + wk * np.eye(3)) @ v
+        worst = max(worst, np.abs(got - partial - chain).max() / max(np.abs(got).max(), 1.0))
     return float(worst)
 
 
@@ -434,13 +427,6 @@ _DP_E = (np.append(_DP_A[6], 0.0)
 _MAX_STEPS = 100000  # step attempts per path segment
 
 
-def _path_segments(path):
-    pts = [(float(s), float(t)) for s, t in path]
-    if len(pts) < 2:
-        return []
-    return list(zip(pts[:-1], pts[1:]))
-
-
 def integrate(fs0: FlowState, path, tol: float = 1e-8):
     """Integrate the flow along a piecewise-linear (s,t) path with the
     embedded Dormand-Prince 4/5 pair, first-same-as-last.
@@ -454,10 +440,12 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
     The step error is max_i |y5_i - y4_i| / max(|y_i|, |y5_i|), a component
     that is zero at both ends counting zero, except for log Z, whose error
     is absolute: its absolute error is the relative error of Z.  A step is
-    accepted when that is at most tol.  Then the eight constraint residuals
-    are evaluated; a step whose worst residual exceeds 100*tol is rejected
-    and halved.  Below the floor step (1e-12 of the segment) the flow aborts
-    with the offending constraint, and after 100,000 step attempts on one
+    accepted when that is at most tol.  Then ``residuals`` evaluates the
+    eight constraints on y5 as plain floats; a step whose worst residual
+    exceeds 100*tol is rejected and halved.  An attempt works on vectors
+    only: a FlowState is built for each accepted step, none for a rejected
+    one.  Below the floor step (1e-12 of the segment) the flow aborts with
+    the offending constraint, and after 100,000 step attempts on one
     segment it aborts too.  A NaN error estimate or residual fails its guard
     like an oversized one.  A segment that is not finite, such as one along
     an infinite cutoff, raises DomainError.
@@ -466,14 +454,13 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
     if not init_res <= 1e-8:
         raise FlowAbort(f"initial state violates constraints ({init_res:.2e})")
     traj = [fs0]
-    segs = _path_segments(path)
-    if not segs:
-        return traj
+    pts = [(float(s), float(t)) for s, t in path]
     template = fs0.bundle
     n, a, b = template.n, float(template.a), float(template.b)
     xi, psi = float(template.xi), float(template.psi)
     stages = np.empty((7, 24))
-    for (s0, t0), (s1, t1) in segs:
+    y = fs0.vector()
+    for (s0, t0), (s1, t1) in zip(pts, pts[1:]):
         ds, dt = s1 - s0, t1 - t0
         seg_len = math.hypot(ds, dt)
         if seg_len == 0:
@@ -486,7 +473,6 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
             return rhs_total(y.tolist(), n, a, b, xi, psi, s0 + u * ds, t0 + u * dt, ds, dt)
 
         u = 0.0
-        y = traj[-1].vector()
         h = 0.1
         steps = 0
         k1 = None
@@ -513,9 +499,8 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
                     raise FlowAbort(f"step size underflow (err {err:.2e})")
                 steps += 1
                 continue
-            cand = FlowState.from_vector(y5, template, s0 + (u + h) * ds,
-                                         t0 + (u + h) * dt)
-            res = np.abs(constraint_residuals(cand))
+            s, t = s0 + (u + h) * ds, t0 + (u + h) * dt
+            res = np.abs(residuals(y5.tolist(), n, a, b, xi, psi, s, t))
             if not res.max() <= 100 * tol:
                 h = 0.5 * h
                 if h <= floor:
@@ -524,8 +509,8 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
                 steps += 1
                 continue
             u += h
-            y = cand.vector()
-            traj.append(cand)
+            y = y5
+            traj.append(FlowState.from_vector(y5, template, s, t))
             steps += 1
             k1 = k7
             if err > 0:

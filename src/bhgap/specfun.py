@@ -1,9 +1,10 @@
 """Gamma, upper incomplete gamma, and the two-variable extension Gamma2.
 
-Gamma(a, z) follows the classic series / modified-Lentz continued-fraction
-split; complex z is supported on the principal branch (cut along (-inf, 0]).
-Negative orders are reached either directly (the continued fraction does not
-involve Gamma(a)) or by downward recurrence at integer order.
+Gamma(a, z) at real z follows the classic series / modified-Lentz
+continued-fraction split.  Negative orders are reached either directly (the
+continued fraction does not involve Gamma(a)) or by downward recurrence at
+integer order.  At complex z (principal branch, cut along (-inf, 0]) it is
+e^-z times the scaled e^z Gamma(a, z) below.
 
 Gamma2(a; x, y) = int_x^inf e^-u u^a (u+y)^-1 du is evaluated by adaptive
 quadrature after the shift u = x + v, with an analytic bound for the dropped
@@ -133,19 +134,16 @@ def _cf_scaled(a: float, z: complex) -> tuple[complex, float]:
 
 
 def _e1(z: complex) -> tuple[complex, float]:
-    """Exponential integral E1(z) = Gamma(0, z), |z| modest, z off the cut."""
-    if abs(z) <= 30.0:
-        tot = -_EULER - cmath.log(z)
-        u = 1.0 + 0j
-        for k in range(1, _MAXITER):
-            u *= -z / k
-            tot -= u / k
-            if abs(u) < (abs(tot) + 1.0) * _EPS * k:
-                break
-        return tot, (abs(tot) + abs(u)) * 8 * _EPS
-    cf, err = _cf_scaled(0.0, z)
-    val = cmath.exp(-z) * cf
-    return val, err * abs(cmath.exp(-z))
+    """Exponential integral E1(z) = Gamma(0, z) by its ascending series, for
+    |z| < 2 (its callers' range), z off the cut."""
+    tot = -_EULER - cmath.log(z)
+    u = 1.0 + 0j
+    for k in range(1, _MAXITER):
+        u *= -z / k
+        tot -= u / k
+        if abs(u) < (abs(tot) + 1.0) * _EPS * k:
+            break
+    return tot, (abs(tot) + abs(u)) * 8 * _EPS
 
 
 def _recurse_down_scaled(a0: float, z: complex, steps: int,
@@ -272,7 +270,8 @@ def _cf_is_safe(a: float, z: complex) -> bool:
 
 
 def gamma_upper(a: float, z: complex) -> SpecFunResult:
-    """Principal-branch Gamma(a, z); a real (any sign), z off (-inf, 0]."""
+    """Principal-branch Gamma(a, z); a real (any sign), z off (-inf, 0].
+    Complex z is e^-z times ``gamma_upper_scaled``."""
     z = complex(z)
     if z == 0:
         if a > 0:
@@ -286,32 +285,17 @@ def gamma_upper(a: float, z: complex) -> SpecFunResult:
             cf, cerr = _cf_scaled(a, x)
             pref = math.exp(-x + a * math.log(x))
             v = pref * cf
-            return _as_real(v, pref * cerr + abs(v) * 4 * _EPS)
+            return SpecFunResult(v, pref * cerr + abs(v) * 4 * _EPS)
         if a > 1e-12 and x < a + 1.0:
             low, lerr = _lower_series(a, x)
             g = math.gamma(a)
             v = g - low.real
-            return _as_real(v, lerr + (abs(g) + abs(low)) * _EPS)
+            return SpecFunResult(v, lerr + (abs(g) + abs(low)) * _EPS)
         v, err = _gup_small_z(a, x)  # a <= 0 (or ~0) with x small, or deep negative order
-        return _as_real(v, err)
-    # complex z
-    if z.real >= 0.5:
-        if a > 1e-12 and abs(z) < a + 1.0:  # the continued fraction fails here
-            v, err = _upper_series(a, z)
-            return SpecFunResult(v, err + abs(v) * 4 * _EPS)
-        if _cf_is_safe(a, z):
-            cf, cerr = _cf_scaled(a, z)
-            pref = cmath.exp(-z + a * cmath.log(z))
-            v = pref * cf
-            return SpecFunResult(v, abs(pref) * cerr + abs(v) * 4 * _EPS)
-        v, err = _gup_small_z(a, z)
-        return SpecFunResult(v, err + abs(v) * 4 * _EPS)
-    if abs(z) <= 2.0:
-        v, err = _gup_small_z(a, z)
-        return SpecFunResult(v, err + abs(v) * 4 * _EPS)
-    sv, serr = _gup_tau_rule(a, z)
+        return SpecFunResult(v.real, err)  # its zero imaginary part dropped
+    r = gamma_upper_scaled(a, z)
     emz = cmath.exp(-z)
-    return SpecFunResult(emz * sv, abs(emz) * serr)
+    return SpecFunResult(emz * r.value, abs(emz) * r.est_abs_error)
 
 
 def gamma_upper_scaled(a: float, z: complex) -> SpecFunResult:
@@ -320,7 +304,7 @@ def gamma_upper_scaled(a: float, z: complex) -> SpecFunResult:
     if _on_cut(z):
         raise DomainError(f"gamma_upper branch cut: z={z}")
     if z.real >= 0.5:
-        if a > 1e-12 and abs(z) < a + 1.0:  # as in gamma_upper
+        if a > 1e-12 and abs(z) < a + 1.0:  # the continued fraction fails here
             ez = cmath.exp(z)
             v, err = _upper_series(a, z)
             return SpecFunResult(ez * v, abs(ez) * err + abs(ez * v) * 4 * _EPS)
@@ -330,13 +314,6 @@ def gamma_upper_scaled(a: float, z: complex) -> SpecFunResult:
             v = za * cf
             return SpecFunResult(v, abs(za) * cerr + abs(v) * 4 * _EPS)
     v, err = _gup_tau_rule(a, z)
-    return SpecFunResult(v, err)
-
-
-def _as_real(v: complex, err: float) -> SpecFunResult:
-    v = complex(v)
-    if v.imag == 0.0:
-        return SpecFunResult(v.real, err)
     return SpecFunResult(v, err)
 
 

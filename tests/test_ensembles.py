@@ -11,8 +11,10 @@ from bhgap.ensembles import (
     Route,
     _pf_sign,
     _xi_coefficients,
+    c_bhft,
+    c_cl2m,
+    c_ubh,
     fk_bridge_residual,
-    normalizations,
     z_bhft,
     z_cl2m,
     z_cl2m_flow,
@@ -27,15 +29,14 @@ from bhgap.specfun import SpecFunResult
 
 def test_normalizations_m1():
     p = ModelParams(m=1, a=0.4, b=0.9)
-    c_cl2m, c_ubh, c_bhft = normalizations(p)
-    assert abs(c_cl2m - math.gamma(1.4) * math.gamma(1.9) / (0.4 + 0.9 + 1)) < 1e-14
-    assert abs(c_ubh - math.gamma(1.4)) < 1e-14 * math.gamma(1.4)
+    assert abs(c_cl2m(p) - math.gamma(1.4) * math.gamma(1.9) / (0.4 + 0.9 + 1)) < 1e-14
+    assert abs(c_ubh(p) - math.gamma(1.4)) < 1e-14 * math.gamma(1.4)
 
 
 @pytest.mark.parametrize("a", [-0.4, 0.0, 1.3])
 def test_bhft_norm_m1_is_one(a):
     p = ModelParams(m=1, a=a)
-    assert abs(normalizations(p)[2] - 1.0) < 1e-12
+    assert abs(c_bhft(p) - 1.0) < 1e-12
 
 
 def test_undeformed_det_consistency():

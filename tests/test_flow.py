@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bhgap import bops, flow, lax
+from bhgap import bops, flow, kernels, lax
 from bhgap.bops import EvalBundle, brackets, build_state, deformation_weights, eval_bundle, zdet
-from bhgap.ensembles import normalizations, z_cl2m, z_cl2m_flow
+from bhgap.ensembles import c_cl2m, z_cl2m, z_cl2m_flow
 from bhgap.flow import (
     FlowAbort,
     FlowState,
@@ -221,8 +221,7 @@ def test_complex_deformation_rejected_up_front(xi, psi):
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_start_logz_matches_determinant_route(m):
     p = ModelParams(m=m, a=0.3, b=0.7, xi=1.0, psi=0.6)
-    c, _, _ = normalizations(p)
-    want = math.log(z_cl2m(p, D).value * c)
+    want = math.log(z_cl2m(p, D).value * c_cl2m(p))
     assert abs(from_moments(p, D, m).logZ - want) <= 1e-9
 
 
@@ -429,3 +428,88 @@ def test_integrate_counts_per_segment(monkeypatch):
     assert len(traj) > 3 and (len(calls) - 2) % 6 == 0
     # each segment starts with a fresh stage 1 at its own start
     assert calls[0] == (1.0, 1.0) and (1.3, 1.0) in calls[1:]
+
+
+# ---------------------------------------------------------------------------
+# numpy reference for flow.residuals: (1) and (2) as written, (3)-(6) as the
+# rows rhs - A u of the rank-3 system, (7) and (8) as G-matrix bilinears
+# ---------------------------------------------------------------------------
+
+def ref_residuals(eb):
+    n, a, b, s, t = eb.n, eb.a, eb.b, eb.s, eb.t
+    _, _, wS, wT = deformation_weights(eb)
+    br = brackets(eb)
+    rp, rm = br.rp, br.rm
+    pe = eb.piv[1] * eb.etav[1]
+
+    def over(v, terms):  # v over its largest term, at least 1
+        return v / max(np.abs(terms).max(), 1.0)
+
+    out = np.zeros(8)
+    out[0] = over(eb.X + eb.Y - pe, [eb.X, eb.Y, pe])
+    t2 = [2 * n + a + b + 1.0, wS * eb.p[1] * eb.q1[1], wT * eb.p1[1] * eb.q[1]]
+    out[1] = over(pe - sum(t2), [pe, *t2])
+    A, rhs = constraint_linear_system(FlowState(eb, 0.7))
+    u = np.array([eb.piv[0], eb.piv[2], eb.etav[0], eb.etav[2]])
+    # each row's terms besides A u: X or Y and the deformation terms
+    rest = [[eb.X, wS * rp * eb.p[0] * eb.q1[1], wS * rm * eb.p[1] * eb.q1[2],
+             wT * rp * eb.p1[0] * eb.q[1], wT * rm * eb.p1[1] * eb.q[2]],
+            [eb.Y, wS * rp * eb.p[1] * eb.q1[0], wS * rm * eb.p[2] * eb.q1[1],
+             wT * rp * eb.p1[1] * eb.q[0], wT * rm * eb.p1[2] * eb.q[1]],
+            [eb.X, n + a, wS / pe * eb.q1[1] * br.bry_p, wT / pe * eb.q[1] * br.bry_p1],
+            [eb.Y, n + b, wS / pe * eb.p[1] * br.brx_q1, wT / pe * eb.p1[1] * br.brx_q]]
+    for i in range(4):
+        out[2 + i] = over(rhs[i] - A[i] @ u, [*rest[i], *(A[i] * u)])
+    if s != INF:
+        g = kernels.gmatrix(eb, s, -s)
+        out[6] = over(eb.p @ g @ eb.q1, [np.abs(eb.p).max() * np.abs(g @ eb.q1).max()])
+    if t != INF:
+        g = kernels.gmatrix(eb, -t, t)
+        out[7] = over(eb.p1 @ g @ eb.q, [np.abs(eb.p1).max() * np.abs(g @ eb.q).max()])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [D, DeformPoint(2.2, 1.4), DeformPoint(INF, 2.0),
+                               DeformPoint(2.0, INF)], ids=["1-1", "2.2-1.4", "inf-2", "2-inf"])
+def test_residuals_match_numpy_reference(m, d):
+    # off the constraint manifold every term shows: a flipped sign moves its
+    # row by twice the term over the normalizer
+    rng = np.random.default_rng(20 + m)
+    p = ModelParams(m=m, a=0.3, b=0.7, xi=1.0, psi=0.6)
+    eb0 = from_moments(p, d, m).bundle
+    for _ in range(4):
+        eb = perturbed(eb0, rng)
+        got, want = constraint_residuals(FlowState(eb, 0.7)), ref_residuals(eb)
+        assert np.abs(got - want).max() <= 1e-13, (got, want)
+        assert np.abs(want[:6]).min() > 1e-8  # the state is off the manifold
+
+
+def test_nan_residual_fails_the_step_guard(monkeypatch):
+    # the start passes; then the last residual of every step is NaN
+    real, seen = flow.residuals, []
+
+    def nan_after_start(*args):
+        seen.append(args)
+        return real(*args) if len(seen) == 1 else [*real(*args)[:7], math.nan]
+
+    monkeypatch.setattr(flow, "residuals", nan_after_start)
+    with pytest.raises(FlowAbort, match="constraint 7 drifted to nan"):
+        integrate(from_moments(P, D, 2), [(1.0, 1.0), (1.2, 1.0)])
+
+
+def test_integrate_builds_states_for_accepted_steps_only(monkeypatch):
+    # an attempt works on vectors: no FlowState for a rejected attempt, and
+    # .vector() only of the start
+    fs0 = from_moments(P, D, 2)
+    calls = counted_rhs(monkeypatch)
+    built, vectored = [], []
+    init, vector = FlowState.__init__, FlowState.vector
+    monkeypatch.setattr(FlowState, "__init__", lambda fs, *a: built.append(fs) or init(fs, *a))
+    monkeypatch.setattr(FlowState, "vector", lambda fs: vectored.append(fs) or vector(fs))
+    traj = integrate(fs0, [(1.0, 1.0), (1.3, 1.0), (1.3, 1.4)], tol=1e-10)
+    attempts = (len(calls) - 2) // 6
+    assert attempts > len(traj) - 1  # some attempts were rejected
+    assert len(built) == len(traj) - 1
+    assert all(fs is want for fs, want in zip(built, traj[1:]))
+    assert all(fs is fs0 for fs in vectored)

@@ -1,0 +1,52 @@
+"""Print every point's output of one benchmark workload, one line per point.
+
+    python3 tools/route_outputs.py --workload flow --seed 1 --passes 1
+
+Run it from any directory: it imports the ``src`` of the checkout it sits in
+and the benchmark's point generator, ``perfbench/workloads.py``, which it
+only reads.  Each line is the point (``workloads.describe``), then
+``repr((value, est_error))`` or the exception's class and message.  Warnings
+are ignored, as in the benchmark's worker.  Two checkouts print the same
+lines exactly when their outputs are bitwise equal, so one diff of their
+outputs shows whether a change keeps them.
+"""
+from __future__ import annotations
+
+import argparse
+import itertools
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+
+def output_lines(workload: str, seed: int, passes: int):
+    """One line per point of the first ``passes`` passes."""
+    count = passes * workloads.cycle_length(workload)
+    for pt in itertools.islice(workloads.points(workload, seed), count):
+        try:
+            r = workloads.call(pt)
+            out = repr((r.value, r.est_error))
+        except Exception as exc:  # a failing point is an output too
+            out = f"{type(exc).__name__}: {exc}"
+        yield f"{workloads.describe(pt)} {out}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=1)
+    args = ap.parse_args(argv)
+    warnings.simplefilter("ignore")
+    for line in output_lines(args.workload, args.seed, args.passes):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
