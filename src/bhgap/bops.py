@@ -121,10 +121,12 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     DomainError for a finite cutoff above 700, where e^-cutoff leaves the
     normal floats and the weight terms would silently vanish.
 
-    hi_fidelity also builds the weight powers and the Gamma2 seeds in DD
-    (`gamma2_boxed_dd`, one Gauss-Legendre level per seed).  The float64
-    default (`gamma2_boxed`) is the lo-fi Gram, which stays until every Gram
-    is built in DD.
+    hi_fidelity also builds the weight powers s^(a+1) e^-s and t^(b+1) e^-t
+    and the two boxed Gamma2 seeds in DD, all in one `gamma2_boxed_dd` batch
+    (one array pass of ln and exp; one Gauss-Legendre level per seed, and
+    z_ubh's equal seeds evaluated once).  The float64 default
+    (`gamma2_boxed`) is the lo-fi Gram, which stays until every Gram is
+    built in DD.
 
     Returns (M, alpha, beta, iscomplex): the size x size Gram and the alpha
     and beta chains, longer than size, as DD lists.  Row 0 and the fill stop
@@ -174,10 +176,14 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     afac = [a_dd + w(k + 1.0) for k in range(K - 1)]
     bfac = [b_dd + w(k + 1.0) for k in range(K - 1)]
     if hi_fidelity and not iscomplex:
-        # the weight values carry the same ~1e6 deep-truncation amplification
-        # as the boxed seeds, so they too are built in DD (c^(a+1) as c c^a)
-        wsp = [s_dd * dd.dd_pow(s_dd, a) * dd.dd_exp(-s_dd) if not xi_off else zero]
-        wtp = [t_dd * dd.dd_pow(t_dd, b) * dd.dd_exp(-t_dd) if not psi_off else zero]
+        # deep-truncation determinants amplify the boxed seeds (the lam2
+        # chain's start and cst) and the weight values by up to ~1e6, past the
+        # float64 evaluation floor, so all four are built in DD, in one batch
+        seeds = ((a, s, t, 0), (b, t, s, 0 if s <= t else K - 1)) if t11 else ()
+        vals = list(gamma2_boxed_dd(seeds, tuple(
+            wt for wt, off in (((a, s), xi_off), ((b, t), psi_off)) if not off)))
+        wtp = [zero if psi_off else vals.pop()]
+        wsp = [zero if xi_off else vals.pop()]
     else:
         wsp = [w(0.0 if xi_off else s ** (a + 1.0) * math.exp(-s))]
         wtp = [w(0.0 if psi_off else t ** (b + 1.0) * math.exp(-t))]
@@ -225,24 +231,19 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         c0t = upper_seed(a, t)
     if t11:
         if hi_fidelity and not iscomplex:
-            # deep-truncation determinants amplify these two seeds by up
-            # to ~1e6, past the float64 evaluation floor
-            cst = gamma2_boxed_dd(a, s, t)
-            seed_lo = lambda: gamma2_boxed_dd(b, t, s)
-            seed_hi = lambda: gamma2_boxed_dd(b, t, s, K - 1)
+            cst, seed = vals
         else:
             cst = w(gamma2_boxed(a, s, t).value)
-            seed_lo = lambda: w(gamma2_boxed(b, t, s).value)
-            seed_hi = lambda: w(gamma2_boxed(b + K - 1, t, s).value)
+            seed = w(gamma2_boxed(b, t, s).value if s <= t
+                     else gamma2_boxed(b + K - 1, t, s).value)
         # boxed shift chain lam2(B+1) = gamma_lower(B+1,t) - s lam2(B):
         # lam2(B) scales like t^B, so the relative error grows by s/t
         # per upward step and by t/s per downward step
+        lam2 = [seed]
         if s <= t:
-            lam2 = [seed_lo()]
             for k in range(K - 1):
                 lam2.append(LGB[k] - s_dd * lam2[-1])
         else:
-            lam2 = [seed_hi()]
             for k in range(K - 2, -1, -1):
                 lam2.append((LGB[k] - lam2[-1]) / s_dd)
             lam2.reverse()

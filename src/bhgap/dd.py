@@ -13,7 +13,9 @@ Python calls.  The array kernels ``vadd``, ``vmul``, ``vdiv``, ``vexp``,
 ``vln`` and ``vsum`` call the helpers elementwise on pairs ``(hi, lo)`` of
 float64 numpy arrays (or floats, which broadcast), for quadratures that
 evaluate thousands of nodes at once; they agree with the scalar ``dd_exp``
-and ``dd_ln`` to ~1e-30.
+and ``dd_ln`` to ~1e-30.  Both exponentials reduce by a split ln 2 whose
+head times k is exact, so they stay within ~1e-32 of e^x over [-672, 700];
+below, a result's lo part is subnormal and holds fewer digits.
 """
 from __future__ import annotations
 
@@ -197,6 +199,11 @@ def unwrap(x):
 
 
 _LN2 = DD(0.6931471805599453, 2.3190468138462996e-17)
+# ln 2 = _LN2_HEAD + _LN2_TAIL for the exponentials' range reduction: the head
+# has 42 significant bits, so k _LN2_HEAD is exact for |k| < 2^11, and
+# x - k ln 2 keeps ~1e-32 absolute where k _LN2 in DD would lose |k| 8e-33
+_LN2_HEAD = 0.6931471805598903
+_LN2_TAIL = DD(5.497923018708371e-14, 1.94704509238075e-31)
 _SQRT_HALF = 0.7071067811865476
 
 
@@ -208,7 +215,7 @@ def dd_exp(x: DD) -> DD:
     if xf > 700.0:
         raise OverflowError("dd_exp overflow")
     k = int(round(xf / 0.6931471805599453))
-    r = x - DD(float(k)) * _LN2
+    r = (x - DD(k * _LN2_HEAD)) - DD(float(k)) * _LN2_TAIL
     term = DD(1.0)
     acc = DD(1.0)
     n = 0
@@ -263,11 +270,21 @@ def vdiv(x, y):
     return _quick_two_sum(q1, (r[0] + r[1]) / (y[0] + y[1]))
 
 
+# 1/n! for n = 5, 4, 3, 2, 1 in DD, the Horner coefficients of vexp's Taylor
+# head; 1/n! for n = 10 ... 6, its float64 tail, whose terms are at most
+# 2e-19 of e^r - 1, so their float rounding stays below 1e-34 of it
+_EXP_HEAD = ((0.008333333333333333, 1.1564823173178714e-19),
+             (0.041666666666666664, 2.3129646346357427e-18),
+             (0.16666666666666666, 9.25185853854297e-18), (0.5, 0.0), (1.0, 0.0))
+_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(10, 5, -1))
+
+
 def vexp(x):
     """Elementwise e^x of a (hi, lo) pair: x = k ln 2 + 512 r, e^r - 1 by
-    its Taylor series to r^10/10! (|r| <= 6.8e-4), squared back nine times
-    by E -> 2E + E^2, plus 1, times 2^k.  Like dd_exp it returns 0 below
-    -700 and raises OverflowError above 700."""
+    its Taylor series to r^10/10! (|r| <= 6.8e-4) in Horner form, the
+    r^6 ... r^10 tail in float64 and the rest on DD constants 1/n!, squared
+    back nine times by E -> 2E + E^2, plus 1, times 2^k.  Like dd_exp it
+    returns 0 below -700 and raises OverflowError above 700."""
     hi = np.asarray(x[0], dtype=float)
     if np.any(hi > 700.0):
         raise OverflowError("vexp overflow")
@@ -275,12 +292,16 @@ def vexp(x):
     hi = np.where(under, 0.0, hi)
     lo = np.where(under, 0.0, x[1])
     k = np.rint(hi / _LN2.hi)
-    r = vadd((hi, lo), vmul((-k, 0.0), (_LN2.hi, _LN2.lo)))
+    r = vadd(vadd((hi, lo), (-k * _LN2_HEAD, 0.0)),
+             vmul((-k, 0.0), (_LN2_TAIL.hi, _LN2_TAIL.lo)))
     r = (r[0] / 512.0, r[1] / 512.0)
-    em1 = term = r
-    for n in range(2, 11):
-        term = vdiv(vmul(term, r), (float(n), 0.0))
-        em1 = vadd(em1, term)
+    tail = 0.0
+    for c in _EXP_TAIL:
+        tail = tail * r[0] + c
+    em1 = (tail, 0.0)
+    for c in _EXP_HEAD:
+        em1 = vadd(vmul(r, em1), c)
+    em1 = vmul(r, em1)
     for _ in range(9):
         em1 = vadd((2.0 * em1[0], 2.0 * em1[1]), vmul(em1, em1))
     e = vadd(em1, (1.0, 0.0))

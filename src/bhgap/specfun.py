@@ -16,12 +16,15 @@ adaptive quadrature); e^z Gamma2(a; z, z) stays adaptive.
 
 The boxed int_0^x e^-u u^a (u+y)^-1 du has one panel set for both of its
 precisions: `gamma2_boxed` (Kronrod, float64) and `gamma2_boxed_dd` (one
-Gauss-Legendre level, double-double).
+Gauss-Legendre level, double-double).  The latter is a batch: every boxed
+seed and weight power c^(a+1) e^-c of one hi-fi Gram in one array pass of
+`dd.vln` and `dd.vexp`, since numpy's per-call cost outweighs the work on a
+few hundred nodes.
 
 Every incomplete gamma and Gamma2 function returns a SpecFunResult carrying
 the value and an absolute error estimate, so callers can propagate
 tolerances instead of assuming them; `gamma2_boxed_dd`, whose one caller
-reads none, returns a bare DD.
+reads none, returns bare DDs.
 """
 from __future__ import annotations
 
@@ -494,58 +497,103 @@ def gamma2_boxed(a: float, x: float, y: float) -> SpecFunResult:
     return _gamma2_boxed_cached(float(a), float(x), float(y))
 
 
-@functools.lru_cache(maxsize=20000)
-def gamma2_boxed_dd(a: float, x: float, y: float, shift: int = 0):
-    """int_0^x u^(a+shift) e^-u / (u+y) du in double-double, as a DD.
+def _first_panel_dd(ea: dd.DD, c: float, y: float, cpow: dd.DD) -> dd.DD:
+    """int_0^c u^ea e^-u / (u+y) du in DD for 0 < c <= y/2, given
+    cpow = c^(ea+1) e^-c.
 
-    Deep-truncation determinants amplify this one seed by ~1e6, so the
-    float64 evaluation floor (~3e-16) is not good enough for 1e-9 contracts;
-    the shift is summed in DD, as the float64 a + shift is itself rounded.
-    On `_boxed_panels` (gamma2_boxed's too): the first panel's series, then
-    one level of 32-point Gauss-Legendre; graded panels make it converge
-    geometrically, and a halved level moves the value by <= 5e-31 relative.
-    It is within 1e-29 of mpmath for x <= 40 (a in [-0.4, 1.1], shift 0 or
-    5-40, y in [0.05, 700]).  From x ~ 400 the first panel's series cancels:
-    2.2e-28 off at x = y = 700, 5e-26 at (a + shift, x, y) = (11.7, 657, 222).
+    1/(u+y) = sum_n (-u)^n / y^(n+1) makes it the alternating sum
+    sum_n (-1)^n gamma(ea+n+1, c) / y^(n+1), whose terms fall by at least
+    rho = c/y <= 1/2 each (gamma(A+1, c) <= c gamma(A, c)), so it cancels
+    by at most a factor 2.  With gamma(A, c) = c^A e^-c g(A) it is
+    cpow / y sum_n (-rho)^n g(ea+n+1), summed by Horner from the top order
+    down; g(A) = sum_k c^k / (A (A+1) ... (A+k)) is seeded by that series
+    at the top order and runs down by g(A) = (1 + c g(A+1)) / A, which
+    shrinks relative errors.
     """
-    if not (x > 0.0 and y > 0.0 and a + shift > -1.0):
-        raise DomainError(f"gamma2_boxed_dd domain: a={a}, shift={shift}, x={x}, y={y}")
-    nodes, weights = _gl32_dd()
-    ydd = dd.DD(y)
-    ea = dd.DD(a) + dd.DD(float(shift))
-
-    # first panel [0, c] by the series int_0^c u^a e^-u/(u+y) du =
-    # c^(a+1) sum_n (-1)^n u_n (c/y)^n / (y (a+n+1)), u_n = sum_{k<=n} y^k/k!,
-    # which is exact DD arithmetic (the quadrature route is blocked by the
-    # fractional-power derivative singularity at the origin); a is ea here
-    c, u_edges = _boxed_panels(x, y)
-    cdd = dd.DD(c)
+    one, cdd, ydd = dd.DD(1.0), dd.DD(c), dd.DD(y)
     rho = cdd / ydd
-    un = dd.DD(1.0)
-    ypow = dd.DD(1.0)
-    rpow = dd.DD(1.0)
-    a1 = ea + dd.DD(1.0)
-    acc0 = un / a1
-    n = 0
-    while n < 400:
-        n += 1
-        ypow = ypow * ydd / dd.DD(float(n))
-        un = un + ypow
-        rpow = rpow * rho
-        term = un * rpow / (a1 + dd.DD(float(n)))
-        acc0 = acc0 + term if n % 2 == 0 else acc0 - term
-        if abs(float(term)) <= 1e-34 * abs(float(acc0)):
-            break
-    first = cdd * dd.dd_pow(cdd, ea) * acc0 / ydd
+    # the terms after the first `top` are below 2 rho^top <= 1e-34 of the sum
+    top = math.ceil(79.0 / -math.log(c / y))
+    a1 = ea + one
+    big = a1 + dd.DD(float(top))
+    term = g = one / big
+    # the seed's terms grow while k < c - big, so its cap grows with c
+    k, cap = 0, 400 + 2 * int(c)
+    while abs(float(term)) > 1e-34 * abs(float(g)) and k < cap:
+        k += 1
+        term = term * cdd / (big + dd.DD(float(k)))
+        g = g + term
+    acc = g
+    for n in range(top - 1, -1, -1):
+        g = (one + cdd * g) / (a1 + dd.DD(float(n)))
+        acc = g - rho * acc
+    return cpow * acc / ydd
 
-    # every panel is one row of a (panels, 32) batch, its half-width and
-    # midpoint exact in DD; the integrand is exp(ea ln u - u) / (u + y)
-    lo, hi = np.array(u_edges[:-1])[:, None], np.array(u_edges[1:])[:, None]
+
+# a batch serves one hi-fi Gram, which _dd_gram caches itself, and every
+# benchmark point draws new cutoffs: batches repeat only inside one point, and
+# 64 entries keep a long sweep's memory flat
+@functools.lru_cache(maxsize=64)
+def gamma2_boxed_dd(seeds: tuple, weights: tuple = ()) -> tuple:
+    """The double-double special-function values of one hi-fi Gram, in one
+    array pass: for each (a, x, y, shift) in seeds the boxed Gamma2 seed
+    int_0^x u^(a+shift) e^-u / (u+y) du, then for each (a, c) in weights the
+    weight power c^(a+1) e^-c, as DDs in that order.  A seed listed twice is
+    evaluated once.
+
+    Deep-truncation determinants amplify these values by ~1e6, past the
+    float64 evaluation floor (~3e-16); the shift is summed in DD, as the
+    float64 a + shift is itself rounded.  A seed runs on `_boxed_panels`
+    (gamma2_boxed's too): `_first_panel_dd` on [0, c], then one level of
+    32-point Gauss-Legendre on the graded panels; a halved level moves the
+    value by <= 5e-31 relative.  Every power and exponential is
+    e^(A ln v - v): at the nodes v = u with A = a + shift, at each first
+    panel's end v = c with A = a + shift + 1 and at each weight's base with
+    A = a + 1, so one `dd.vln` and one `dd.vexp` evaluate them all.  A
+    weight's exponent stays above -700, where vexp flushes to zero, for
+    a > -1 and 1 <= c <= 700; c e^(a ln c - c) would not.  A seed is within
+    1e-28 of 40-digit mpmath for x <= 700 (a in [-0.5, 1.1], shift 0 or
+    5-40, y in [0.05, 700]; 3e-32 at x = y = 700).
+    """
+    for a, x, y, shift in seeds:
+        if not (x > 0.0 and y > 0.0 and a + shift > -1.0):
+            raise DomainError(f"gamma2_boxed_dd domain: a={a}, shift={shift}, x={x}, y={y}")
+    for a, c in weights:
+        if not (0.0 < c < INF and a > -1.0):
+            raise DomainError(f"gamma2_boxed_dd weight domain: a={a}, c={c}")
+    nodes, gl_weights = _gl32_dd()
+    one = dd.DD(1.0)
+    uniq = list(dict.fromkeys(seeds))
+    ea = [dd.DD(a) + dd.DD(float(shift)) for a, _, _, shift in uniq]
+    # one row per graded panel of every seed: its edges, its seed's y and
+    # a + shift; seed i owns rows[i]:rows[i + 1]
+    ends, cols, rows = [], [], [0]
+    for e, (_, x, y, _) in zip(ea, uniq):
+        c, edges = _boxed_panels(x, y)
+        ends.append(c)
+        cols += [(l, r, y, e.hi, e.lo) for l, r in zip(edges[:-1], edges[1:])]
+        rows.append(len(cols))
+    lo, hi, ya, eh, el = np.array(cols).reshape(-1, 5).T[:, :, None]
     d, s = dd.vadd((hi, 0.0), (-lo, 0.0)), dd.vadd((hi, 0.0), (lo, 0.0))
     h = (0.5 * d[0], 0.5 * d[1])
     u = dd.vadd((0.5 * s[0], 0.5 * s[1]), dd.vmul(h, nodes))
-    f = dd.vexp(dd.vadd(dd.vmul((ea.hi, ea.lo), dd.vln(u)), (-u[0], -u[1])))
-    return dd.vsum(dd.vdiv(dd.vmul(dd.vmul(h, weights), f), dd.vadd(u, (y, 0.0)))) + first
+
+    # e^(A ln v - v) as one flat batch: the nodes, then the first panels'
+    # ends and the weights' bases
+    ends += [c for _, c in weights]
+    expo = [e + one for e in ea] + [dd.DD(a) + one for a, _ in weights]
+    v = (np.append(u[0], ends), np.append(u[1], np.zeros(len(ends))))
+    A = (np.append(np.broadcast_to(eh, u[0].shape), [e.hi for e in expo]),
+         np.append(np.broadcast_to(el, u[0].shape), [e.lo for e in expo]))
+    f = dd.vexp(dd.vadd(dd.vmul(A, dd.vln(v)), (-v[0], -v[1])))
+
+    n = u[0].size
+    fu = (f[0][:n].reshape(u[0].shape), f[1][:n].reshape(u[0].shape))
+    g = dd.vdiv(dd.vmul(dd.vmul(h, gl_weights), fu), dd.vadd(u, (ya, 0.0)))
+    pw = [dd.DD(ph, pl) for ph, pl in zip(f[0][n:], f[1][n:])]
+    value = {seed: dd.vsum((g[0][r0:r1], g[1][r0:r1])) + _first_panel_dd(e, c, seed[2], p)
+             for seed, e, c, p, r0, r1 in zip(uniq, ea, ends, pw, rows, rows[1:])}
+    return tuple(value[seed] for seed in seeds) + tuple(pw[len(uniq):])
 
 
 def gamma2_diag_scaled(a: float, z: complex) -> SpecFunResult:

@@ -331,31 +331,32 @@ def test_zero_coefficient_corners_are_not_built(monkeypatch):
 
 
 # (m, a, b, xi, psi, s, t) -> the hi-fi Gram's entries, row by row, as (hi, lo)
-# or (re hi, re lo, im hi, im lo).  The first key's M_00, M_12 and M_21 carry
-# the one-level Gamma2 seeds' last bits, each within 7e-32 relative of
-# 40-digit mpmath
+# or (re hi, re lo, im hi, im lo).  The real keys carry the last bits of the
+# batched DD seeds and weight powers: every entry of the first is within
+# 4.2e-32 relative of 45-digit mpmath, and every entry of the second within
+# 4.2e-31 of a 45-digit replay that keeps its float64 Gamma(b+1) and G2s0
 HIFI_GRAM_GOLDEN = {
     (3, 0.3, 0.7, 1.0, 1.0, 2.4, 1.9): [
-        (0.31801876593563144, -2.382778574844305e-17),
-        (0.2408209793067441, 2.932133477260033e-18),
-        (0.2597529984293947, 1.596886479329952e-17),
-        (0.21721034632363295, -3.717715681392255e-18),
-        (0.17708256781665935, 6.232675702350404e-18),
+        (0.31801876593563144, -2.3827785748443064e-17),
+        (0.2408209793067441, 2.932133477260027e-18),
+        (0.2597529984293947, 1.5968864793299515e-17),
+        (0.21721034632363295, -3.717715681392261e-18),
+        (0.17708256781665935, 6.232675702350398e-18),
         (0.19713399955197902, 1.9318947478617312e-18),
-        (0.24939573852375155, 8.733824150444196e-18),
-        (0.20960868815714273, 1.2973107244642039e-17),
-        (0.23673715418789992, -1.1622049799271256e-17),
+        (0.24939573852375155, 8.733824150444177e-18),
+        (0.20960868815714273, 1.2973107244642027e-17),
+        (0.23673715418789992, -1.162204979927125e-17),
     ],
     (3, 0.3, 0.7, 1.0, 0.6, 1.1, 2.2): [
-        (0.27547957873922796, 1.040953658883669e-17),
-        (0.249789864044674, -1.3610577868613973e-17),
-        (0.38949174956528626, 8.2719091114456e-18),
+        (0.27547957873922796, 1.0409536588836686e-17),
+        (0.249789864044674, -1.3610577868613983e-17),
+        (0.38949174956528626, 8.27190911144559e-18),
         (0.12210824284039583, 4.802785261171009e-18),
         (0.11842456632871676, -3.719162255637446e-18),
-        (0.19071030615126083, 6.017896570244784e-18),
-        (0.07874070882676777, 5.559348731171854e-20),
-        (0.07856630033103329, 2.4737396215414584e-18),
-        (0.128483129059146, 3.2903994367799368e-18),
+        (0.19071030615126083, 6.0178965702447775e-18),
+        (0.07874070882676777, 5.559348731171546e-20),
+        (0.07856630033103329, 2.4737396215414615e-18),
+        (0.128483129059146, 3.290399436779832e-18),
     ],
     (3, 0.2, 0.5, (0.5+0.3j), 0.0, 1.3, 0.9): [
         (0.43614029914418095, 2.572718372591699e-17, -0.025506124615996738, 9.361607718420017e-20),
@@ -379,6 +380,42 @@ def test_hifi_gram_golden(key):
     got = [(e.re.hi, e.re.lo, e.im.hi, e.im.lo) if isinstance(e, dd.CDD) else (e.hi, e.lo)
            for row in M for e in row]
     assert repr(got) == repr(HIFI_GRAM_GOLDEN[key])
+
+
+# (a, s, t) -> the hi-fi Gram at m = 2, b = 0.3, xi = psi = 1, as built with
+# scalar weight powers s s^a e^-s.  A weight folded as s e^(a ln s - s)
+# flushes to zero where a ln s - s < -700, so at s = 700 for every a < 0, and
+# leaves a Gram of ~1e-299.  At a cutoff of 700 the weight s^(a+1) e^-s ~
+# 1e-304 has a subnormal lo part and only ~20 digits, which every entry
+# inherits through the boxed chains: these values and the batch's are at most
+# 1.04e-20 and 6.4e-21 from 45-digit mpmath, so they agree within 2e-20
+HIFI_GRAM_AT_700 = {
+    (-0.5, 700.0, 690.0): [(1.988406739678645, -1.3525041896779217e-17),
+                           (1.1488572273698836, 8.700599809876477e-17),
+                           (0.44186816437303217, 2.4427212137971485e-17),
+                           (0.3692755373688912, 3.362271472282568e-18)],
+    (-0.5, 690.0, 700.0): [(1.988406739678645, -1.352380668346615e-17),
+                           (1.1488572273698836, 8.70067117775679e-17),
+                           (0.44186816437303217, 2.4427486629818844e-17),
+                           (0.3692755373688912, 3.3625008690407404e-18)],
+    (-0.9, 700.0, 690.0): [(21.345235946598397, -1.4160320849884233e-15),
+                           (7.928230494450832, -3.800383453816574e-16),
+                           (0.6098638841885254, -3.133970182519249e-17),
+                           (0.4624801121762984, 7.482959908742534e-18)],
+    (-0.9, 690.0, 700.0): [(21.345235946598397, -1.4156745927589055e-15),
+                           (7.928230494450832, -3.799055625535508e-16),
+                           (0.6098638841885254, -3.132948776149196e-17),
+                           (0.4624801121762984, 7.490705573715187e-18)],
+}
+
+
+@pytest.mark.parametrize("key", list(HIFI_GRAM_AT_700))
+def test_hifi_gram_weights_do_not_underflow_at_700(key):
+    a, s, t = key
+    M = bops._dd_gram(ModelParams(2, a, 0.3, 1.0, 1.0), DeformPoint(s, t), 2, True)[0]
+    for e, (hi, lo) in zip((e for row in M for e in row), HIFI_GRAM_AT_700[key]):
+        assert e.hi != 0.0
+        assert abs((e.hi - hi) + (e.lo - lo)) <= 2e-20 * hi
 
 
 def test_eval_bundle_contents():

@@ -75,6 +75,26 @@ def test_vsum_of_positive_terms():
     assert abs((got.hi - acc.hi) + (got.lo - acc.lo)) <= 1e-30 * acc.hi
 
 
+@pytest.mark.parametrize("name", list(EXP_ARGS))
+def test_vexp_and_vln_match_mpmath(name):
+    # 40-digit references, not only the scalar twins.  Below e^-672 a DD's
+    # lo part is subnormal, spaced 2^-1074, so e^x there holds fewer digits
+    # and the bound adds that spacing; ln has the scalar test's floor at 1
+    x = dd_pairs(EXP_ARGS[name], np.random.default_rng(7))
+    got = dd.vexp(x)
+    xs = EXP_ARGS[name]
+    arg = 1.0 + xs if name == "near0" else np.exp(np.clip(xs, -650.0, 650.0))
+    ln = dd.vln((arg, np.zeros_like(arg)))
+    with mpmath.workdps(40):
+        for i in range(xs.size):
+            want = mpmath.exp(mpmath.mpf(x[0][i]) + mpmath.mpf(x[1][i]))
+            diff = abs(mpmath.mpf(got[0][i]) + mpmath.mpf(got[1][i]) - want)
+            assert diff <= 1e-30 * want + 2.0 ** -1074, x[0][i]
+            want = mpmath.log(mpmath.mpf(arg[i]))
+            diff = abs(mpmath.mpf(ln[0][i]) + mpmath.mpf(ln[1][i]) - want)
+            assert diff <= 1e-30 * max(abs(want), 1), arg[i]
+
+
 @pytest.mark.parametrize("x", [1e-305, 1e-307, 2.2250738585072014e-308, 5e-324])
 def test_ln_of_tiny_arguments(x):
     # the Newton step's e^-seed would overflow without the 2^e split

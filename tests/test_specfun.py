@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bhgap import bops, dd, ensembles, specfun
-from bhgap.params import DomainError, ModelParams, PoleError
+from bhgap.params import DeformPoint, DomainError, ModelParams, PoleError
 from bhgap.specfun import (
     gamma,
     gamma2,
@@ -311,12 +311,19 @@ def test_gamma2_complex_y():
 
 def mp_boxed_dd_relerr(got, a, x, y, shift):
     # the reference takes u = w^q, q = 1/(1 + a + shift), which absorbs the
-    # endpoint power u^(a+shift) du = q dw that tanh-sinh resolves poorly
+    # endpoint power u^(a+shift) du = q dw that tanh-sinh resolves poorly; the
+    # w range splits at the images of u = 1, 4, 16, ..., which keeps the peak
+    # of a large a + shift inside one short piece
     with mp.workdps(40):
         q = 1 / (mp.mpf(a) + shift + 1)
+        cuts = [mp.mpf(u) ** (1 / q) for u in (1, 4, 16, 64, 256) if u < x]
         want = mp.quad(lambda w: q * mp.exp(-w ** q) / (w ** q + mp.mpf(y)),
-                       [0, mp.mpf(x) ** (1 / q)])
+                       [0] + cuts + [mp.mpf(x) ** (1 / q)])
         return abs((mp.mpf(got.hi) + mp.mpf(got.lo)) / want - 1)
+
+
+def boxed_dd(a, x, y, shift=0):
+    return gamma2_boxed_dd(((a, x, y, shift),))[0]
 
 
 @pytest.mark.parametrize("a,x,y,shift", [(0.073, 1.02, 2.177, 0), (0.872, 2.177, 1.02, 0),
@@ -328,28 +335,49 @@ def mp_boxed_dd_relerr(got, a, x, y, shift):
                                          (0.3, 700.0, 0.05, 0), (0.3, 0.05, 700.0, 0)])
 def test_gamma2_boxed_dd_reaches_dd_precision(a, x, y, shift):
     # a float64 quadrature rule or a float64 sum a + shift would stop at ~1e-16
-    assert mp_boxed_dd_relerr(gamma2_boxed_dd(a, x, y, shift), a, x, y, shift) <= 1e-28
+    assert mp_boxed_dd_relerr(boxed_dd(a, x, y, shift), a, x, y, shift) <= 1e-28
 
 
 def test_gamma2_boxed_dd_first_panel_cancels_at_700():
-    # at x = y = 700 the first panel ends at c = 700/64, and its alternating
-    # series cancels terms 1.5e4 times its sum: the value is 2.2e-28 off
-    assert mp_boxed_dd_relerr(gamma2_boxed_dd(0.3, 700.0, 700.0), 0.3, 700.0, 700.0, 0) <= 1e-27
+    # at x = y = 700 the first panel ends at c = 700/64; a series in u_n =
+    # sum_{k<=n} y^k/k! cancelled terms 1.5e4 times its sum there (2.2e-28
+    # off) and 5e-26 at (11.72, 656.6, 222.2).  The sum of lower gammas
+    # alternates with terms falling by c/y <= 1/2, so it cancels by <= 2
+    assert mp_boxed_dd_relerr(boxed_dd(0.3, 700.0, 700.0), 0.3, 700.0, 700.0, 0) <= 1e-28
+    assert mp_boxed_dd_relerr(boxed_dd(11.72, 656.6, 222.2), 11.72, 656.6, 222.2, 0) <= 1e-28
 
 
 def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
-    # the one quadrature level runs on the array kernels, two vexp (one of
-    # them inside vln); the only scalar exp and pow left are the first
-    # panel's c^a (one dd_pow, two dd_exp)
-    calls = {"dd_exp": 0, "dd_pow": 0, "vexp": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(dd, name), _name=name):
+    # one hi-fi Gram is one batch: both seeds, the first panels' powers and
+    # the weight powers take one vln and one vexp (two vexp, one inside vln),
+    # and no scalar exp or pow is left
+    calls = {"dd_exp": 0, "dd_pow": 0, "vexp": 0, "gamma2_boxed_dd": 0}
+    for mod, name in ((dd, "dd_exp"), (dd, "dd_pow"), (dd, "vexp"), (bops, "gamma2_boxed_dd")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(dd, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     gamma2_boxed_dd.cache_clear()
-    gamma2_boxed_dd(0.7, 3.4, 1.1, 28)
-    assert calls == {"dd_exp": 2, "dd_pow": 1, "vexp": 2}
+    bops.clear_caches()
+    bops._dd_gram(ModelParams(8, 0.7, 0.3, 1.0, 1.0), DeformPoint(3.4, 1.1), 8, True)
+    assert calls == {"dd_exp": 0, "dd_pow": 0, "vexp": 2, "gamma2_boxed_dd": 1}
+
+
+@pytest.mark.parametrize("seeds", [
+    ((0.3, 2.4, 1.9, 0), (0.7, 1.9, 2.4, 28)),  # a z_cl2m Gram's pair
+    ((0.3, 2.5, 2.5, 0), (0.3, 2.5, 2.5, 0)),  # z_ubh's equal species
+    ((0.3, 700.0, 700.0, 0), (11.72, 656.6, 222.2, 0), (-0.5, 1.3, 2.1, 0))])
+def test_gamma2_boxed_dd_batch_is_its_seeds_alone(seeds):
+    weights = ((0.3, 2.4), (-0.9, 650.0))
+    gamma2_boxed_dd.cache_clear()
+    got = gamma2_boxed_dd(seeds, weights)
+    alone = [gamma2_boxed_dd((seed,))[0] for seed in seeds]
+    alone += [gamma2_boxed_dd((), (wt,))[0] for wt in weights]
+    assert [(v.hi, v.lo) for v in got] == [(v.hi, v.lo) for v in alone]
+    with mp.workdps(40):  # the weights are c^(a+1) e^-c
+        for (a, c), v in zip(weights, got[len(seeds):]):
+            want = mp.mpf(c) ** (mp.mpf(a) + 1) * mp.exp(-mp.mpf(c))
+            assert abs((mp.mpf(v.hi) + mp.mpf(v.lo)) / want - 1) <= 1e-30
 
 
 def test_gamma2_boxed_evaluates_levels_as_arrays(monkeypatch):
@@ -375,7 +403,7 @@ def test_gamma2_boxed_matches_dd_rule():
     for i in range(40):
         a = rng.uniform(-0.4, 1.1) + (rng.randint(10, 33) if i % 2 else 0)
         x, y = rng.uniform(0.3, 35), rng.uniform(0.3, 35)
-        v = gamma2_boxed_dd(a, x, y)
+        v = boxed_dd(a, x, y)
         want = v.hi + v.lo
         got = specfun.gamma2_boxed(a, x, y)
         err = abs(got.value - want)

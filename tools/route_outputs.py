@@ -1,10 +1,13 @@
-"""Print every point's output of one benchmark workload, one line per point.
+"""Print every point's output of benchmark workloads, one line per point.
 
-    python3 tools/route_outputs.py --workload flow --seed 1 --passes 1
+    python3 tools/route_outputs.py --workload flow --seeds 1 --passes 1
+    python3 tools/route_outputs.py --workload all --seeds 1-10,90017
 
 Run it from any directory: it imports the ``src`` of the checkout it sits in
 and the benchmark's point generator, ``perfbench/workloads.py``, which it
-only reads.  Each line is the point (``workloads.describe``), then
+only reads.  ``--workload all`` runs every workload in turn, and ``--seeds``
+takes a comma-separated list of seeds and inclusive ranges.  Each line is the
+workload and seed, the point (``workloads.describe``), then
 ``repr((value, est_error))`` or the exception's class and message.  Warnings
 are ignored, as in the benchmark's worker.  Two checkouts print the same
 lines exactly when their outputs are bitwise equal, so one diff of their
@@ -36,15 +39,27 @@ def output_lines(workload: str, seed: int, passes: int):
         yield f"{workloads.describe(pt)} {out}"
 
 
+def parse_seeds(text: str) -> list[int]:
+    """'1-3,90017' -> [1, 2, 3, 90017]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS + ("all",))
+    ap.add_argument("--seeds", type=parse_seeds, default=[1])
     ap.add_argument("--passes", type=int, default=1)
     args = ap.parse_args(argv)
     warnings.simplefilter("ignore")
-    for line in output_lines(args.workload, args.seed, args.passes):
-        print(line, flush=True)
+    names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
+    for name in names:
+        for seed in args.seeds:
+            for line in output_lines(name, seed, args.passes):
+                print(f"{name}/{seed} {line}", flush=True)
     return 0
 
 
