@@ -7,10 +7,12 @@ h_{n-1} (Bertola-Gekhtman-Szmigielski, "Cauchy biorthogonal polynomials",
 J. Approx. Theory 2010).  The bordered-determinant representation is kept as
 a test identity, not the algorithm.  Every moment comes from one source, the
 double-double Gram `_dd_gram`: the bi-moments M_jk (read one at a time by
-`inner_product`) and the univariate alpha_j and beta_k chains.  Associated
-functions of the first type are built by the moment recursion on
-Cauchy-transform integrals over those chains; the base case is the
-Stieltjes transform expressed through Gamma2.
+`inner_product`) and the univariate alpha_j and beta_k chains, in hi
+fidelity wherever xi and psi are real (`_gram`).  Associated functions of
+the first type are built by the moment recursion on Cauchy-transform
+integrals over those chains; the base case is the Stieltjes transform
+expressed through Gamma2, at the deformation-locked points -t and -s formed
+from the Gram's own Gamma2 seeds.
 
 All triple-valued data is exposed both in natural index order (n-1, n, n+1)
 on the state and as 3-vectors ordered [n+1, n, n-1] to match the transfer
@@ -94,6 +96,15 @@ def _dd_bilinear(u, M, v):
     return acc
 
 
+def _upper_seed(c: float, y: float) -> float:
+    """Gamma2(c; 0, y) = Gamma(c+1) e^y y^c Gamma(-c, y) in float64: the G2s0
+    and c0t seeds of `_dd_gram`, and a Stieltjes seed the Gram skipped."""
+    v = gamma(c + 1.0) * math.exp(y) * y ** c * gamma_upper(-c, y).value
+    if not math.isfinite(v):  # e^y y^c, from y ~ 700 at c ~ 1
+        raise DomainError(f"e^y y^c overflows float64 at y = {y}, c = {c}")
+    return v
+
+
 # _system, _ldu and the bilinear helpers share one Gram per (p, d, size).
 # On the benchmark workloads a flow seed reuses a Gram after at most 4 other
 # keys and a z_cl2m or z_ubh point never reuses one, so 64 Grams (~12 KB
@@ -126,14 +137,18 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     (one array pass of ln and exp; one Gauss-Legendre level per seed, and
     z_ubh's equal seeds evaluated once).  The float64 default
     (`gamma2_boxed`) is the lo-fi Gram, which stays until every Gram is
-    built in DD.
+    built in DD; `_gram` reads the hi-fi one wherever xi and psi are real.
 
-    Returns (M, alpha, beta, iscomplex): the size x size Gram and the alpha
-    and beta chains, longer than size, as DD lists.  Row 0 and the fill stop
-    at the entries M returns; the chains keep all K = 2 size + 13 steps,
-    which `assoc1`, `_system` and `eval_bundle` read.  M_00 is NaN where it
-    diverges, a + b + 1 <= 0: the Pfaffian route's equal-species Gram never
-    reads it, and the other readers raise (`_require_integrable`).
+    Returns (M, alpha, beta, iscomplex, seeds): the size x size Gram and the
+    alpha and beta chains, longer than size, as DD lists.  Row 0 and the
+    fill stop at the entries M returns; the chains keep all K = 2 size + 13
+    steps, which `assoc1`, `_system` and `eval_bundle` read.  seeds is
+    (c0t, cst, G2s0_0, lam2_0) = (Gamma2(a; 0, t), the boxed Gamma2(a; s, t),
+    Gamma2(b; 0, s), the boxed Gamma2(b; t, s)) as the Gram used them, None
+    where it skipped one; `eval_bundle` forms its Stieltjes seeds from them.
+    M_00 is NaN where it diverges, a + b + 1 <= 0: the Pfaffian route's
+    equal-species Gram never reads it, and the other readers raise
+    (`_require_integrable`).
     """
     if any(cut != INF and cut > 700.0 for cut in (d.s, d.t)):
         raise DomainError(f"cutoffs ({d.s}, {d.t}): above 700 e^-cutoff leaves the normal floats")
@@ -151,12 +166,6 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     # dd.wrap(x, iscomplex), and abs(dd.unwrap(x)) for the series' stop test
     w = (lambda x: dd.wrap(x, True)) if iscomplex else dd.DD
     mag = (lambda x: abs(x.to_complex())) if iscomplex else abs
-
-    def upper_seed(c, y):  # Gamma(c+1) e^y y^c Gamma(-c, y): G2s0 and c0t
-        v = gamma(c + 1.0) * math.exp(y) * y ** c * gamma_upper(-c, y).value
-        if not math.isfinite(v):  # e^y y^c, from y ~ 700 at c ~ 1
-            raise DomainError(f"e^y y^c overflows float64 at y = {y}, c = {c}")
-        return w(v)
 
     zero = w(0.0)
     a_dd, b_dd = w(a), w(b)
@@ -188,7 +197,7 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         wsp = [w(0.0 if xi_off else s ** (a + 1.0) * math.exp(-s))]
         wtp = [w(0.0 if psi_off else t ** (b + 1.0) * math.exp(-t))]
     if t10:
-        G2s0 = [upper_seed(b, s)]
+        G2s0 = [w(_upper_seed(b, s))]
     for k in range(K - 1):
         if ga_on:
             GA.append(afac[k] * GA[-1])
@@ -228,7 +237,7 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
             else [om_psi * g + psi_dd * lg for g, lg in zip(GB, LGB)])
 
     if t01:
-        c0t = upper_seed(a, t)
+        c0t = w(_upper_seed(a, t))
     if t11:
         if hi_fidelity and not iscomplex:
             cst, seed = vals
@@ -273,7 +282,9 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
     for aj in aldd[:size - 1]:
         rows.append([aj * bk - r for bk, r in zip(bedd, rows[-1][1:])])
     Mdd = [[rows[j][k] for k in range(size)] for j in range(size)]
-    return Mdd, aldd, bedd, iscomplex
+    seeds = (c0t if t01 else None, cst if t11 else None,
+             G2s0[0] if t10 else None, lam2[0] if t11 else None)
+    return Mdd, aldd, bedd, iscomplex, seeds
 
 
 def _require_integrable(p: ModelParams) -> None:
@@ -283,13 +294,22 @@ def _require_integrable(p: ModelParams) -> None:
         raise DomainError(f"the bi-moment M_00 diverges for a + b + 1 = {p.a + p.b + 1.0} <= 0")
 
 
+def _gram(p: ModelParams, d: DeformPoint, size: int):
+    """The one Gram the bi-orthogonal data read: `_dd_gram` in hi fidelity
+    whenever xi and psi are real, the lo-fi (complex) Gram otherwise.  The
+    fidelity goes in as the fourth positional argument, where
+    `perfbench/tracer.py` counts hi-fi builds."""
+    real = not (isinstance(p.xi, complex) or isinstance(p.psi, complex))
+    return _dd_gram(p, d, size, real)
+
+
 @lru_cache(maxsize=4096)
 def _ldu(p: ModelParams, d: DeformPoint, size: int):
-    """Unpivoted DD factorization M = L diag(h) U of _dd_gram(p, d, size):
+    """Unpivoted DD factorization M = L diag(h) U of _gram(p, d, size):
     the rows of L^-1 are the monic P_n, the columns of U^-1 the monic Q_n,
     and h_n = <P_n, Q_n>, so that Z_n = h_0 ... h_{n-1}."""
     _require_integrable(p)
-    return plinalg.dd_ldu(_dd_gram(p, d, size)[0])
+    return plinalg.dd_ldu(_gram(p, d, size)[0])
 
 
 @lru_cache(maxsize=4096)
@@ -297,7 +317,8 @@ def _system(p: ModelParams, d: DeformPoint, nmax: int):
     """Normalized bi-orthogonal data for degrees <= nmax.
 
     The monic coefficients and the norms h_n are read off one factorization
-    of the compensated Gram (see _ldu), taken in double-double: the monomial
+    of the compensated Gram `_gram(p, d, nmax + 2)` (see _ldu; hi fidelity
+    for real xi and psi), taken in double-double: the monomial
     Gram matrix is superexponentially ill-conditioned, and the 1e-9
     contracts on the spectral data at n ~ 5 are unreachable in bare binary64.
     Inputs and outputs stay float64.
@@ -305,7 +326,7 @@ def _system(p: ModelParams, d: DeformPoint, nmax: int):
     Returns (S[0..nmax], Pcoeffs, Qcoeffs, pi, eta, X, Pdd, Qdd) with
     coefficient arrays low-to-high, already normalized by 1/sqrt(h).
     """
-    Mdd, aldd, bedd, iscomplex = _dd_gram(p, d, nmax + 2)
+    Mdd, aldd, bedd, iscomplex, _ = _gram(p, d, nmax + 2)
     h, monics, monicqs, zero = _ldu(p, d, nmax + 2)
     S, Pc, Qc, pis, etas, xs = [], [], [], [], [], []
     Pdd, Qdd = [], []
@@ -371,7 +392,7 @@ def inner_product(p: ModelParams, d: DeformPoint, pc: np.ndarray, qc: np.ndarray
     _require_integrable(p)
     iscomplex = any(isinstance(v, complex) for v in (*pc, *qc)) \
         or isinstance(p.xi, complex) or isinstance(p.psi, complex)
-    Mdd, _, _, gram_cx = _dd_gram(p, d, max(len(pc) + xshift, len(qc) + yshift))
+    Mdd, _, _, gram_cx, _ = _gram(p, d, max(len(pc) + xshift, len(qc) + yshift))
     iscomplex = iscomplex or gram_cx
     acc = None
     for j, cj in enumerate(pc):
@@ -463,12 +484,13 @@ def assoc1(poly, z, p: ModelParams, d: DeformPoint, species: str = "x"):
     """First-type associated value int w(x) poly(x) / (z - x) dx.
 
     Runs the moment recursion I_j = z I_{j-1} - mu_{j-1} upward from the
-    Stieltjes value I_0; stable for z in the left half line used here.  The
-    moments mu_j are the Gram's alpha (species 'x') or beta ('y') chain.
+    Stieltjes value I_0 (`stieltjes_f1` or `stieltjes_f2`, at any z); stable
+    for z in the left half line used here.  The moments mu_j are the alpha
+    (species 'x') or beta ('y') chain of `_gram`.
     """
     _check_species(species)
     coeffs = poly.coeffs if isinstance(poly, PolyCoeffs) else tuple(poly)
-    _, aldd, bedd, _ = _dd_gram(p, d, len(coeffs))
+    _, aldd, bedd, _, _ = _gram(p, d, len(coeffs))
     if species == "x":
         cur, moments = stieltjes_f1(z, p, d), aldd
     else:
@@ -610,9 +632,9 @@ def _dd_polyval(coeffs_dd, z, iscomplex):
 
 def _dd_assoc_values(coeffs_dd_list, z, seed, moments_dd, iscomplex):
     """First-type associated values for several polynomials at one z, with the
-    moment recursion I_j = z I_{j-1} - mu_{j-1} run in DD from the float seed."""
+    moment recursion I_j = z I_{j-1} - mu_{j-1} run in DD from the DD seed."""
     width = max(len(c) for c in coeffs_dd_list)
-    ivals = [dd.wrap(seed, iscomplex)]
+    ivals = [seed]
     zdd = dd.wrap(z, iscomplex)
     for j in range(1, width):
         ivals.append(zdd * ivals[-1] - moments_dd[j - 1])
@@ -622,27 +644,49 @@ def _dd_assoc_values(coeffs_dd_list, z, seed, moments_dd, iscomplex):
     return out
 
 
+def _stieltjes_seed(c, x, y, g, upper, boxed):
+    """-((1 - g) Gamma2(c; 0, y) + g boxed Gamma2(c; x, y)) in DD: f1(-t) with
+    (c, x, y, g) = (a, s, t, xi) and f2(-s) with (b, t, s, psi), from the
+    Gram's seeds upper and boxed (see `_dd_gram`).  A seed the Gram skipped
+    (None) whose coefficient is nonzero is built by the function the Gram
+    builds it with; at an infinite x the weight is undeformed, g = 0."""
+    g = 0.0 if x == INF else g
+    acc = dd.DD(0.0)
+    if g != 1:
+        upper = dd.DD(_upper_seed(c, y)) if upper is None else upper
+        acc = (dd.DD(1.0) - dd.DD(g)) * upper
+    if g != 0:
+        boxed = gamma2_boxed_dd(((c, x, y, 0),))[0] if boxed is None else boxed
+        acc = acc + dd.DD(g) * boxed
+    return -acc
+
+
 def eval_bundle(state: BopsState) -> EvalBundle:
     """Evaluate the state's polynomials and associated functions at the
     deformation-locked points (s, t, -t, -s).
 
-    Evaluations are carried out in compensated arithmetic against the chained
-    moment data, so the constraint identities downstream are limited by the
-    few float64 seeds rather than per-step rounding.  At an infinite sentinel
-    cutoff the corresponding evaluations are zero: they only enter the
-    dynamics multiplied by the vanishing deformation weight.
+    Everything is read off `_gram`, the Gram `_system` factorizes: in hi
+    fidelity for real xi and psi.  Evaluations are carried out in
+    compensated arithmetic against the chained moment data.  The Stieltjes
+    seeds f1(-t) and f2(-s) of the associated functions are formed in DD
+    from the Gram's own Gamma2 seeds (`_stieltjes_seed`), so the constraint
+    identities downstream compare one set of numbers with itself; for
+    complex xi or psi they are `stieltjes_f1` and `stieltjes_f2`.  At an
+    infinite sentinel cutoff the corresponding evaluations are zero: they
+    only enter the dynamics multiplied by the vanishing deformation weight.
     """
     p, d, n = state.params, state.point, state.n
     s, t = d.s, d.t
     *_, Pdd, Qdd = _system(p, d, n + 1)
-    _, aldd, bedd, iscomplex = _dd_gram(p, d, n + 3)
+    _, aldd, bedd, iscomplex, seeds = _gram(p, d, n + 3)
     pdd = [Pdd[n + 1], Pdd[n], Pdd[n - 1] if n else None]
     qdd = [Qdd[n + 1], Qdd[n], Qdd[n - 1] if n else None]
     zeros = np.zeros(3)
     if s != INF:
         pv = np.array([dd.unwrap(_dd_polyval(c, s, iscomplex)) if c else 0.0
                        for c in pdd])
-        seed = stieltjes_f2(-s, p, d)
+        seed = (dd.wrap(stieltjes_f2(-s, p, d), True) if iscomplex
+                else _stieltjes_seed(p.b, t, s, p.psi, *seeds[2:]))
         vals = _dd_assoc_values([c for c in qdd if c], -s, seed, bedd, iscomplex)
         q1v = np.array(vals + [0.0] * (3 - len(vals)))
     else:
@@ -650,7 +694,8 @@ def eval_bundle(state: BopsState) -> EvalBundle:
     if t != INF:
         qv = np.array([dd.unwrap(_dd_polyval(c, t, iscomplex)) if c else 0.0
                        for c in qdd])
-        seed = stieltjes_f1(-t, p, d)
+        seed = (dd.wrap(stieltjes_f1(-t, p, d), True) if iscomplex
+                else _stieltjes_seed(p.a, s, t, p.xi, *seeds[:2]))
         vals = _dd_assoc_values([c for c in pdd if c], -t, seed, aldd, iscomplex)
         p1v = np.array(vals + [0.0] * (3 - len(vals)))
     else:

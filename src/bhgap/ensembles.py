@@ -109,7 +109,7 @@ def z_cl2m(p: ModelParams, d: DeformPoint) -> GapResult:
     c = c_cl2m(p)
 
     def go(hi_fidelity):
-        mdd, _, _, _ = _dd_gram(p, d, p.m, hi_fidelity)
+        mdd = _dd_gram(p, d, p.m, hi_fidelity)[0]
         det = plinalg.dd_lu_det(mdd)
         return (det if isinstance(det, float) else dd.unwrap(det)) / c
 
@@ -134,7 +134,7 @@ def _ubh_pf_dd(p: ModelParams, s: float, hi_fidelity: bool = False):
     eq = ModelParams(m, p.a, p.a, p.xi, p.xi)
     d = DeformPoint(s, s)
     size = m + 1 if m % 2 == 0 else m + 2
-    mdd, aldd, _, iscx = _dd_gram(eq, d, size, hi_fidelity and not isinstance(p.xi, complex))
+    mdd, aldd, _, iscx, _ = _dd_gram(eq, d, size, hi_fidelity and not isinstance(p.xi, complex))
     zero = dd.wrap(0.0, iscx)
     if m % 2 == 0:
         mat = [[zero for _ in range(m)] for _ in range(m)]
@@ -186,20 +186,29 @@ def z_ubh(p: ModelParams, s: float | None = None) -> GapResult:
 def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
     """Determinant route transported by the constrained deformation flow.
 
-    The flow starts from a moment-route seed at (s, t) = (1, 1) and runs
-    along the straight path to d with ``flow.integrate`` at tolerance 1e-9:
-    first-same-as-last Dormand-Prince steps on the one right-hand side
+    The flow starts from a moment-route seed at (s, t) = (1, 1), read off the
+    hi-fi Gram with its Stieltjes seeds (``flow.from_moments``), and runs
+    along the straight path to d with ``flow.integrate`` at tolerance 1e-11:
+    first-same-as-last DOP853 steps on the one right-hand side
     ``flow.rhs_total``, each step's error relative per component and
-    absolute in log Z, which is relative in the value.  est_error is 1e-8 of
-    the value.  xi and psi must be real (DomainError otherwise)."""
+    absolute in log Z, which is relative in the value.  A step whose worst
+    constraint residual exceeds 1e-6 is rejected, and the flow aborts
+    (FlowAbort) where halving the step cannot keep it below that.
+
+    The constraints are conserved by the exact flow, so their drift is the
+    evidence of the path's global error: est_error is |value| max(1e-8,
+    10 drift), with drift the worst residual along the path, start
+    included, and a PrecisionWarning above 1e-6 relative.  xi and psi must
+    be real (DomainError otherwise)."""
     from . import flow as _flow
 
-    tol = 1e-9
     c = c_cl2m(p)
     fs0 = _flow.from_moments(p, DeformPoint(1.0, 1.0), p.m)
-    traj = _flow.integrate(fs0, [(1.0, 1.0), (d.s, d.t)], tol=tol)
-    val = math.exp(traj[-1].logZ) / c
-    est = abs(val) * max(10 * tol, 1e-9)
+    end = _flow.integrate(fs0, [(1.0, 1.0), (d.s, d.t)], tol=1e-11)[-1]
+    val = math.exp(end.logZ) / c
+    est_rel = max(1e-8, 10.0 * end.drift)
+    _warn_precision(est_rel, "z_cl2m_flow")
+    est = abs(val) * est_rel
     _warn_range(val, est, "z_cl2m_flow", p.xi, p.psi)
     return GapResult(val, Route.FLOW, est)
 

@@ -15,11 +15,14 @@ the other variable's infinite cutoff and raises DomainError at its own.
 The eight constraint residuals likewise come from one plain-float function,
 ``residuals``, of the 24-vector, which reads the weights, brackets and
 G-matrix products ``rhs_total`` reads; ``constraint_residuals`` is a call of
-it.  ``integrate`` runs the first-same-as-last Dormand-Prince 4/5 pair with
-a per-component relative error (absolute in log Z) on vectors, and builds a
-FlowState only for an accepted step.  Constraints are monitored, not
-projected: they are conserved by the exact dynamics, so drift is a
-discretization diagnostic.
+it.  ``from_moments`` reads the start off the hi-fi Gram, its Stieltjes seeds
+included (``bops.eval_bundle``), so the start meets the constraints to
+rounding.  ``integrate`` runs the first-same-as-last Dormand-Prince 8(5,3)
+pair (DOP853) with a per-component relative error (absolute in log Z) on
+vectors, and builds a FlowState only for an accepted step.  Constraints are
+monitored, not projected: they are conserved by the exact dynamics, so their
+drift is a discretization diagnostic, carried on each state as the evidence
+behind ``z_cl2m_flow``'s est_error.
 """
 from __future__ import annotations
 
@@ -40,10 +43,13 @@ class FlowAbort(RuntimeError):
 
 @dataclass
 class FlowState:
-    """Evaluation bundle plus log Z at one point of a deformation path."""
+    """Evaluation bundle plus log Z at one point of a deformation path, and
+    ``drift``: the worst constraint residual of ``integrate``'s path up to
+    it, its start included (0 for a state not reached by ``integrate``)."""
 
     bundle: EvalBundle
     logZ: float
+    drift: float = 0.0
 
     @property
     def n(self) -> int:
@@ -63,13 +69,14 @@ class FlowState:
                                [eb.X, eb.Y], eb.sv, [self.logZ]])
 
     @staticmethod
-    def from_vector(v: np.ndarray, template: EvalBundle, s: float, t: float) -> "FlowState":
+    def from_vector(v: np.ndarray, template: EvalBundle, s: float, t: float,
+                    drift: float) -> "FlowState":
         eb = EvalBundle(template.n, s, t, template.a, template.b,
                         template.xi, template.psi,
                         v[0:3].copy(), v[3:6].copy(), v[6:9].copy(), v[9:12].copy(),
                         v[12:15].copy(), v[15:18].copy(), float(v[18]), float(v[19]),
                         v[20:23].copy())
-        return FlowState(eb, float(v[23]))
+        return FlowState(eb, float(v[23]), drift)
 
 
 VAR_NAMES = (["P_np1_s", "P_n_s", "P_nm1_s",
@@ -83,8 +90,9 @@ VAR_NAMES = (["P_np1_s", "P_n_s", "P_nm1_s",
 
 def from_moments(p: ModelParams, d: DeformPoint, n: int) -> FlowState:
     """Initial state from the moment route; log Z_n = log(h_0 ... h_{n-1})
-    comes from the factorization that gives the state's norms.  The flow
-    carries a real log Z, so it needs real xi and psi."""
+    comes from the factorization that gives the state's norms, and every
+    value from the one hi-fi Gram (``bops._gram``).  The flow carries a real
+    log Z, so it needs real xi and psi."""
     if isinstance(p.xi, complex) or isinstance(p.psi, complex):
         raise DomainError(f"the flow route needs real xi and psi, got xi={p.xi}, psi={p.psi}")
     st = build_state(p, d, n)
@@ -408,44 +416,95 @@ def rhs_decomposition_residual(fs: FlowState) -> float:
 # adaptive integration
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-# stage rows a_i; the last row is the fifth-order weights, so stage 7 is
-# evaluated at y5 and serves as the next step's stage 1
-_DP_A = [
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# fifth- minus fourth-order weights over the seven stages: y5 - y4 = h E K
-_DP_E = (np.append(_DP_A[6], 0.0)
-         - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                     -92097 / 339200, 187 / 2100, 1 / 40]))
+# Dormand-Prince 8(5,3), the DOP853 tableau of Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.10, without its dense-output stages: nodes c_i,
+# stage rows a_i (row i has i entries) and eighth-order weights b.  The
+# solution's derivative serves as the next step's stage 1
+_C = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0)
+_A = [np.array(row) for row in (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1))]
+_B = np.array((5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+               4.45031289275240888144113950566, 1.89151789931450038304281599044,
+               -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+               -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+               4.47106157277725905176885569043e-2))
+# the fifth-order (E5) and third-order (E3) error weights over the 12 stages
+_E5 = np.array((0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+                -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+                0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1))
+_E3 = _B - np.array((0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                     0.0, 0.733846688281611857341361741547, 0.0, 0.0,
+                     0.220588235294117647058823529412e-1))
 _MAX_STEPS = 100000  # step attempts per path segment
+_DRIFT_GUARD = 1e-6  # worst constraint residual an accepted step may have
+
+
+def _step_factor(err: float, tol: float) -> float:
+    """The next step over this one: 0.9 (tol/err)^(1/8) within [0.2, 10],
+    10 at a zero error and 0.2 at a NaN one."""
+    if err == 0:
+        return 10.0
+    fac = 0.9 * (tol / err) ** 0.125
+    return min(fac, 10.0) if fac >= 0.2 else 0.2
 
 
 def integrate(fs0: FlowState, path, tol: float = 1e-8):
     """Integrate the flow along a piecewise-linear (s,t) path with the
-    embedded Dormand-Prince 4/5 pair, first-same-as-last.
+    Dormand-Prince 8(5,3) pair (DOP853), first-same-as-last.
 
     Along a segment the derivative is ``rhs_total`` in the segment's
-    direction.  An attempt evaluates it six times: stage 7 is taken at the
-    fifth-order solution y5 and, once the step is accepted, reused as the
-    next step's stage 1; a rejected attempt keeps its stage 1.  Stage 1 is
-    evaluated afresh at the start of each segment.
+    direction.  An attempt evaluates it twelve times: eleven stages and the
+    derivative at the eighth-order solution y8, which, once the step is
+    accepted, is the next step's stage 1; a rejected attempt keeps its
+    stage 1.  Stage 1 is evaluated afresh at the start of each segment.
 
-    The step error is max_i |y5_i - y4_i| / max(|y_i|, |y5_i|), a component
-    that is zero at both ends counting zero, except for log Z, whose error
-    is absolute: its absolute error is the relative error of Z.  A step is
-    accepted when that is at most tol.  Then ``residuals`` evaluates the
-    eight constraints on y5 as plain floats; a step whose worst residual
-    exceeds 100*tol is rejected and halved.  An attempt works on vectors
-    only: a FlowState is built for each accepted step, none for a rejected
-    one.  Below the floor step (1e-12 of the segment) the flow aborts with
-    the offending constraint, and after 100,000 step attempts on one
+    The step error is Hairer's combination e5^2 / sqrt(e5^2 + 0.01 e3^2) of
+    the fifth- and third-order estimates, each the max over components of
+    |h E K_i| / max(|y_i|, |y8_i|), a component that is zero at both ends
+    counting zero, except for log Z, whose error is absolute: its absolute
+    error is the relative error of Z.  A step is accepted when that is at
+    most tol, and the next step is ``_step_factor`` times this one.  Then
+    ``residuals`` evaluates the eight constraints on y8 as plain floats; a
+    step whose worst residual exceeds 1e-6 is rejected and halved: the
+    constraints are conserved by the exact flow, so their drift is global
+    discretization error.  An attempt works on vectors only: a FlowState is
+    built for each accepted step, none for a rejected one, and carries the
+    worst residual along the path so far, the start's included, as
+    ``drift``.  Below the floor step (1e-12 of the segment) the flow aborts
+    with the offending constraint, and after 100,000 step attempts on one
     segment it aborts too.  A NaN error estimate or residual fails its guard
     like an oversized one.  A segment that is not finite, such as one along
     an infinite cutoff, raises DomainError.
@@ -453,12 +512,13 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
     init_res = np.abs(constraint_residuals(fs0)).max()
     if not init_res <= 1e-8:
         raise FlowAbort(f"initial state violates constraints ({init_res:.2e})")
+    drift = max(init_res, fs0.drift)
     traj = [fs0]
     pts = [(float(s), float(t)) for s, t in path]
     template = fs0.bundle
     n, a, b = template.n, float(template.a), float(template.b)
     xi, psi = float(template.xi), float(template.psi)
-    stages = np.empty((7, 24))
+    stages = np.empty((12, 24))
     y = fs0.vector()
     for (s0, t0), (s1, t1) in zip(pts, pts[1:]):
         ds, dt = s1 - s0, t1 - t0
@@ -481,42 +541,40 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
                 k1 = f(u, y)
             if steps >= _MAX_STEPS:
                 raise FlowAbort("step budget exhausted")
+            steps += 1
             h = min(h, 1.0 - u)
             stages[0] = k1
-            for i in range(1, 6):
-                stages[i] = f(u + _DP_C[i] * h, y + h * (_DP_A[i] @ stages[:i]))
-            y5 = y + h * (_DP_A[6] @ stages[:6])
-            k7 = f(u + h, y5)
-            stages[6] = k7
+            for i in range(1, 12):
+                stages[i] = f(u + _C[i] * h, y + h * (_A[i] @ stages[:i]))
+            y8 = y + h * (_B @ stages)
+            k13 = f(u + h, y8)
             # a component zero at both ends counts zero; log Z is absolute
-            scale = np.maximum(np.abs(y), np.abs(y5))
+            scale = np.maximum(np.abs(y), np.abs(y8))
             scale[scale == 0.0] = np.inf
             scale[-1] = 1.0
-            err = np.max(np.abs(h * (_DP_E @ stages)) / scale)
+            e5 = h * np.max(np.abs(_E5 @ stages) / scale)
+            e3 = h * np.max(np.abs(_E3 @ stages) / scale)
+            err = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 or e3 else 0.0
+            fac = _step_factor(err, tol)
             if not err <= tol:
-                h = max(0.5 * h, floor)
+                h = max(fac * h, floor)
                 if h <= floor:
                     raise FlowAbort(f"step size underflow (err {err:.2e})")
-                steps += 1
                 continue
             s, t = s0 + (u + h) * ds, t0 + (u + h) * dt
-            res = np.abs(residuals(y5.tolist(), n, a, b, xi, psi, s, t))
-            if not res.max() <= 100 * tol:
+            res = np.abs(residuals(y8.tolist(), n, a, b, xi, psi, s, t))
+            if not res.max() <= _DRIFT_GUARD:
                 h = 0.5 * h
                 if h <= floor:
                     raise FlowAbort(
                         f"constraint {int(res.argmax())} drifted to {res.max():.2e}")
-                steps += 1
                 continue
             u += h
-            y = y5
-            traj.append(FlowState.from_vector(y5, template, s, t))
-            steps += 1
-            k1 = k7
-            if err > 0:
-                h = min(2.0 * h, 0.9 * h * (tol / err) ** 0.2)
-            else:
-                h = 2.0 * h
+            y = y8
+            drift = max(drift, res.max())
+            traj.append(FlowState.from_vector(y8, template, s, t, drift))
+            k1 = k13
+            h = fac * h
     return traj
 
 

@@ -203,11 +203,11 @@ def test_verify_rank1_row_sees_a_corrupted_gram(tmp_path, monkeypatch):
     swapped = ModelParams(2, 1.0, 0.0, 1.0, 1.0)
 
     def corrupted(p, d, size, *args):
-        mdd, aldd, bedd, iscx = gram(p, d, size, *args)
+        mdd, *rest = gram(p, d, size, *args)
         if p == swapped:
             mdd = [row[:] for row in mdd]
             mdd[2][1] = mdd[2][1] * dd.DD(1.0 + 1e-8)
-        return mdd, aldd, bedd, iscx
+        return mdd, *rest
 
     monkeypatch.setattr(cli, "_dd_gram", corrupted)
     out = tmp_path / "verify.csv"

@@ -432,15 +432,15 @@ def test_flow_route_matches_determinant():
 
 
 # (m, s, t) -> (value, est_error) at a = 0.3, b = 0.7, xi = 1, psi = 0.6,
-# flowed from (1, 1).  They sit 1.1e-10 to 3.4e-9 from the hi-fi determinant;
+# flowed from (1, 1).  They sit 1.7e-12 to 5.0e-11 from the hi-fi determinant;
 # a reordered floating-point expression in the flow's right-hand side, a
-# change to its step control or to the start's float Gamma2 seeds shows here
+# change to its step control or to the start's Gram seeds shows here
 FLOW_GOLDEN = {
-    (2, 3.4, 0.6): (0.28177313720721625, 2.8177313720721628e-09),
-    (3, 2.5, 3.3): (0.084107609612897, 8.410760961289699e-10),
-    (4, 2.183616934054415, 1.1926985565215407): (0.0005920193470264256, 5.920193470264255e-12),
-    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654527875015, 7.194654527875015e-12),
-    (5, 2.3, 1.1): (3.3600615788510182e-06, 3.3600615788510184e-14),
+    (2, 3.4, 0.6): (0.28177313723842956, 2.8177313723842956e-09),
+    (3, 2.5, 3.3): (0.08410760968937374, 8.410760968937374e-10),
+    (4, 2.183616934054415, 1.1926985565215407): (0.000592019348055739, 5.92019348055739e-12),
+    (4, 2.245594913748194, 1.1872097417053438): (0.0007194654542177931, 7.194654542177931e-12),
+    (5, 2.3, 1.1): (3.36006159046206e-06, 3.36006159046206e-14),
 }
 
 

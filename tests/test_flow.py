@@ -171,8 +171,8 @@ def test_constraint_system_rhs_at_finite_cutoff():
     # recorded before the infinite-cutoff guard; a finite cutoff is untouched
     p = ModelParams(m=2, a=0.3, b=0.7, xi=1.0, psi=0.6)
     _, rhs = constraint_linear_system(from_moments(p, DeformPoint(2.0, 1.5), 2))
-    assert rhs.tolist() == [-0.0014865198686759389, 2.0689670716870117,
-                            1.1963447417006219, -0.6173394391189907]
+    assert rhs.tolist() == [-0.001486519870231063, 2.068967071694733,
+                            1.196344741702702, -0.6173394391175059]
 
 
 @pytest.mark.parametrize("rhs, d_inf, d_far, at_inf", [
@@ -409,23 +409,38 @@ def counted_rhs(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-13])
-def test_integrate_evaluates_six_stages_per_attempt(monkeypatch, tol):
-    # stage 7 of an accepted step is the next stage 1 and a rejected attempt
-    # keeps its stage 1: after three attempts (the budget; the segment needs
-    # more) the right-hand side has run 6 x 3 + 1 times, at tol 1e-13 with
-    # rejections among them
+def test_integrate_evaluates_twelve_stages_per_attempt(monkeypatch, tol):
+    # DOP853: the derivative at an accepted step's solution is the next stage
+    # 1 and a rejected attempt keeps its stage 1: after three attempts (the
+    # budget; the segment needs more) the right-hand side has run 12 x 3 + 1
+    # times, at tol 1e-13 with rejections among them
     calls = counted_rhs(monkeypatch)
+    built = []
+    monkeypatch.setattr(FlowState, "from_vector",
+                        staticmethod(lambda *a, f=FlowState.from_vector: built.append(1) or f(*a)))
     monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     with pytest.raises(FlowAbort, match="budget"):
         integrate(from_moments(P, D, 2), [(1.0, 1.0), (3.0, 2.0)], tol=tol)
-    assert len(calls) == 6 * 3 + 1
+    assert len(calls) == 12 * 3 + 1
+    assert len(built) == (3 if tol == 1e-6 else 1)
+
+
+def test_dop853_tableau_is_consistent():
+    # each stage's row sums to its node, the weights to 1, and both error
+    # weight sets to 0 (they difference two solutions of one step)
+    assert len(flow._A) == len(flow._C) == len(flow._B) == 12
+    for i in range(1, 12):
+        assert len(flow._A[i]) == i
+        assert abs(flow._A[i].sum() - flow._C[i]) <= 1e-15
+    assert abs(flow._B.sum() - 1.0) <= 1e-15
+    assert abs(flow._E3.sum()) <= 1e-15 and abs(flow._E5.sum()) <= 1e-15
 
 
 def test_integrate_counts_per_segment(monkeypatch):
     fs0 = from_moments(P, D, 2)
     calls = counted_rhs(monkeypatch)
     traj = integrate(fs0, [(1.0, 1.0), (1.3, 1.0), (1.3, 1.4)], tol=1e-8)
-    assert len(traj) > 3 and (len(calls) - 2) % 6 == 0
+    assert len(traj) > 3 and (len(calls) - 2) % 12 == 0
     # each segment starts with a fresh stage 1 at its own start
     assert calls[0] == (1.0, 1.0) and (1.3, 1.0) in calls[1:]
 
@@ -507,9 +522,80 @@ def test_integrate_builds_states_for_accepted_steps_only(monkeypatch):
     init, vector = FlowState.__init__, FlowState.vector
     monkeypatch.setattr(FlowState, "__init__", lambda fs, *a: built.append(fs) or init(fs, *a))
     monkeypatch.setattr(FlowState, "vector", lambda fs: vectored.append(fs) or vector(fs))
-    traj = integrate(fs0, [(1.0, 1.0), (1.3, 1.0), (1.3, 1.4)], tol=1e-10)
-    attempts = (len(calls) - 2) // 6
+    traj = integrate(fs0, [(1.0, 1.0), (1.3, 1.0), (1.3, 1.4)], tol=1e-14)
+    attempts = (len(calls) - 2) // 12
     assert attempts > len(traj) - 1  # some attempts were rejected
     assert len(built) == len(traj) - 1
     assert all(fs is want for fs, want in zip(built, traj[1:]))
     assert all(fs is fs0 for fs in vectored)
+
+
+# ---------------------------------------------------------------------------
+# the route on the gap probability: a Gram-consistent start, DOP853 and an
+# est_error from the path's constraint drift
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("s, t", [(0.6, 0.6), (2.0, 2.5), (3.5, 3.5), (1.2, 3.4)])
+def test_flow_gap_probability_matches_determinant(m, s, t):
+    # xi = psi = 1 is the gap probability itself; m = 4 used to abort at
+    # three of these four targets
+    p = ModelParams(m, 0.3, 0.7, 1.0, 1.0)
+    d = DeformPoint(s, t)
+    want = z_cl2m(p, d).value
+    assert abs(z_cl2m_flow(p, d).value - want) <= 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@pytest.mark.parametrize("xi, psi", [(1.0, 1.0), (0.0, 0.6), (0.6, 0.0)])
+@pytest.mark.parametrize("d", [D, DeformPoint(1.5, 0.8)], ids=["1-1", "1.5-0.8"])
+def test_flow_start_meets_the_constraints_to_rounding(m, xi, psi, d):
+    # the Stieltjes seeds are the Gram's own numbers, so the constraints
+    # compare one set of numbers with itself; at xi = 0 or psi = 0 the Gram
+    # skips a block, and the seeds it did not build are built on demand
+    fs = from_moments(ModelParams(m, 0.3, 0.7, xi, psi), d, m)
+    assert np.abs(constraint_residuals(fs)).max() <= 1e-14
+
+
+def test_flow_est_error_comes_from_the_drift():
+    # m = 6 at (3.5, 3.5) used to abort at its start; its global error, 1.4e-7,
+    # is now above the 1e-8 floor and within 10x the path's worst residual
+    p = ModelParams(6, 0.3, 0.7, 1.0, 1.0)
+    d = DeformPoint(3.5, 3.5)
+    end = integrate(from_moments(p, D, 6), [(1.0, 1.0), (d.s, d.t)], tol=1e-11)[-1]
+    r = z_cl2m_flow(p, d)
+    assert r.est_error == abs(r.value) * (10.0 * end.drift) > 1e-8 * abs(r.value)
+    assert abs(r.value - z_cl2m(p, d).value) <= r.est_error
+
+
+def test_drift_is_the_running_worst_residual():
+    fs0 = from_moments(P, D, 2)
+    traj = integrate(fs0, [(1.0, 1.0), (1.6, 1.3)], tol=1e-10)
+    worst = np.abs(constraint_residuals(fs0)).max()
+    for fs in traj[1:]:
+        worst = max(worst, np.abs(constraint_residuals(fs)).max())
+        assert fs.drift == worst
+
+
+@pytest.mark.parametrize("k", [-3, -1, 1, 3, 5])
+def test_flow_is_insensitive_to_the_last_bit_of_a_seed(monkeypatch, k):
+    # scaling the start's float Gamma-function seed (G2s0 and the f2 seed
+    # built from it) by 1 + k eps once moved m = 5 between 2.9e-10 and 7.4e-8
+    # off the determinant, or aborted; the start now reads one set of seeds
+    p = ModelParams(5, 0.3, 0.7, 1.0, 0.6)
+    targets = [DeformPoint(1.1, 3.4), DeformPoint(2.25, 3.4), DeformPoint(3.4, 3.4),
+               DeformPoint(3.4, 1.1)]
+    refs = [z_cl2m(p, d).value for d in targets]
+    real = bops.gamma_upper
+
+    def scaled(a, z):
+        r = real(a, z)
+        return type(r)(r.value * (1.0 + k * 2.0 ** -52), r.est_abs_error)
+
+    monkeypatch.setattr(bops, "gamma_upper", scaled)
+    bops.clear_caches()
+    try:
+        for d, want in zip(targets, refs):
+            assert abs(z_cl2m_flow(p, d).value - want) <= 1e-8 * abs(want)
+    finally:
+        bops.clear_caches()

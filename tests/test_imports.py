@@ -120,3 +120,14 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_flow_route_leaves_scipy_out():
+    # the flow's start reads its Stieltjes seeds off the Gram, not scipy quad
+    code = ("import sys; from bhgap.ensembles import z_cl2m_flow; "
+            "from bhgap.params import DeformPoint, ModelParams; "
+            "z_cl2m_flow(ModelParams(3, 0.3, 0.7, 1.0, 0.6), DeformPoint(2.2, 1.4)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,11 +2,13 @@
 
     python3 tools/route_outputs.py --workload flow --seeds 1 --passes 1
     python3 tools/route_outputs.py --workload all --seeds 1-10,90017
+    python3 tools/route_outputs.py --workload deep-cutoff,shallow-cutoff,fixed-trace
 
 Run it from any directory: it imports the ``src`` of the checkout it sits in
 and the benchmark's point generator, ``perfbench/workloads.py``, which it
-only reads.  ``--workload all`` runs every workload in turn, and ``--seeds``
-takes a comma-separated list of seeds and inclusive ranges.  Each line is the
+only reads.  ``--workload`` takes a comma-separated list of workloads, run in
+turn, or ``all``, and ``--seeds`` a comma-separated list of seeds and
+inclusive ranges.  Each line is the
 workload and seed, the point (``workloads.describe``), then
 ``repr((value, est_error))`` or the exception's class and message.  Warnings
 are ignored, as in the benchmark's worker.  Two checkouts print the same
@@ -48,15 +50,26 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def parse_workloads(text: str) -> list[str]:
+    """'deep-cutoff,flow' -> ['deep-cutoff', 'flow']; 'all' -> every workload."""
+    if text == "all":
+        return list(workloads.WORKLOADS)
+    names = text.split(",")
+    unknown = [n for n in names if n not in workloads.WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(workloads.WORKLOADS)}")
+    return names
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS + ("all",))
+    ap.add_argument("--workload", required=True, type=parse_workloads)
     ap.add_argument("--seeds", type=parse_seeds, default=[1])
     ap.add_argument("--passes", type=int, default=1)
     args = ap.parse_args(argv)
     warnings.simplefilter("ignore")
-    names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
-    for name in names:
+    for name in args.workload:
         for seed in args.seeds:
             for line in output_lines(name, seed, args.passes):
                 print(f"{name}/{seed} {line}", flush=True)
