@@ -19,7 +19,9 @@ it.  ``from_moments`` reads the start off the hi-fi Gram, its Stieltjes seeds
 included (``bops.eval_bundle``), so the start meets the constraints to
 rounding.  ``integrate`` runs the first-same-as-last Dormand-Prince 8(5,3)
 pair (DOP853) with a per-component relative error (absolute in log Z) on
-vectors, and builds a FlowState only for an accepted step.  Constraints are
+vectors, and builds a FlowState only for an accepted step.  Its step control
+is in Python floats, never numpy scalars: ``rhs_total`` and ``residuals`` get
+float cutoffs, and each state's s, t and drift are floats.  Constraints are
 monitored, not projected: they are conserved by the exact dynamics, so their
 drift is a discretization diagnostic, carried on each state as the evidence
 behind ``z_cl2m_flow``'s est_error.
@@ -71,11 +73,10 @@ class FlowState:
     @staticmethod
     def from_vector(v: np.ndarray, template: EvalBundle, s: float, t: float,
                     drift: float) -> "FlowState":
-        eb = EvalBundle(template.n, s, t, template.a, template.b,
-                        template.xi, template.psi,
-                        v[0:3].copy(), v[3:6].copy(), v[6:9].copy(), v[9:12].copy(),
-                        v[12:15].copy(), v[15:18].copy(), float(v[18]), float(v[19]),
-                        v[20:23].copy())
+        """The state of the 24-vector v, whose triples it keeps as views."""
+        eb = EvalBundle(template.n, s, t, template.a, template.b, template.xi, template.psi,
+                        v[0:3], v[3:6], v[6:9], v[9:12], v[12:15], v[15:18],
+                        float(v[18]), float(v[19]), v[20:23])
         return FlowState(eb, float(v[23]), drift)
 
 
@@ -134,18 +135,6 @@ def _d0_minus(n, a, b, s, er_u, er_d, X, Y, rp, rm, c):
             (-rp * er_d, -er_d * (Y + s) + c, rm * er_d + s - n - a))
 
 
-def _mv(m, v):
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-    v0, v1, v2 = v
-    return (m00 * v0 + m01 * v1 + m02 * v2,
-            m10 * v0 + m11 * v1 + m12 * v2,
-            m20 * v0 + m21 * v1 + m22 * v2)
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _gvec(rp, rm, X, Y, x, y, w):
     """G_n(x, y) w, with the G-matrix of ``kernels.gmatrix`` written in the
     norm ratios rp = S_n/S_n+1, rm = S_n-1/S_n."""
@@ -153,23 +142,6 @@ def _gvec(rp, rm, X, Y, x, y, w):
     return (rp * (rp * w0 + (Y - y) * w1 - rm * w2),
             rp * (X - x) * w0 + (X + y) * (Y + x) * w1 + rm * (Y + x) * w2,
             rm * (-rp * w0 + (X + y) * w1 + rm * w2))
-
-
-def _spectral(m, hd, d, w, k, v, x):
-    """((M + hd diag(d0, -d1, -d2)) w - k v) / x: the P(s) and Q1(-s)
-    equations of the s-flow, the Q(t) and P1(-t) ones of the t-flow."""
-    m0, m1, m2 = _mv(m, w)
-    return ((m0 + hd * d[0] * w[0] - k * v[0]) / x,
-            (m1 - hd * d[1] * w[1] - k * v[1]) / x,
-            (m2 - hd * d[2] * w[2] - k * v[2]) / x)
-
-
-def _corner(h, d, c, w, k, v):
-    """B w + k v, where B, one of B_inf0, B_inf0b, C_inf0 and C_inf0b, is
-    h diag(d0, -d1, -d2) with -2h c in its (n-1, n) corner."""
-    return (h * d[0] * w[0] + k * v[0],
-            -h * d[1] * w[1] + k * v[1],
-            -h * (2.0 * c * w[1] + d[2] * w[2]) + k * v[2])
 
 
 def rhs_total(y, n, a, b, xi, psi, s, t, ds, dt) -> list:
@@ -192,74 +164,104 @@ def rhs_total(y, n, a, b, xi, psi, s, t, ds, dt) -> list:
     if dt and t == INF:
         raise DomainError("the t-flow needs a finite t cutoff")
     # P(s), Q(t), P1(-t), Q1(-s), pi, eta and S ordered [n+1, n, n-1]
-    p, q, p1, q1 = y[0:3], y[3:6], y[6:9], y[9:12]
-    piv, etav, X, Y, sv = y[12:15], y[15:18], y[18], y[19], y[20:23]
-    pin, etn = piv[1], etav[1]
+    (pu, pn, pd, qu, qn, qd, p1u, p1n, p1d, q1u, q1n, q1d,
+     piu, pin, pid, etu, etn, etd, X, Y, Su, Sn, Sd, _) = y
     pe = pin * etn
     if pe == 0:
         raise GenericityError("pi_n eta_n vanished", index=n)
     ws, wt, wS, wT = cutoff_weights(s, t, a, b, xi, psi)
-    br = bracket_terms(sv, p, q, p1, q1, X, Y, s, t)
-    rp, rm = br.rp, br.rm
-    pr_u, pr_d = piv[0] / pin, piv[2] / pin
-    er_u, er_d = etav[0] / etn, etav[2] / etn
-    fin_s, fin_t = s != INF, t != INF
-    # G(s, -s) Q1(-s), G(-t, t) Q(t) and the two off-anti-incidence kernels
-    gs = _gvec(rp, rm, X, Y, s, -s, q1) if fin_s else (0.0, 0.0, 0.0)
-    gt = _gvec(rp, rm, X, Y, -t, t, q) if fin_t else (0.0, 0.0, 0.0)
-    k00 = k11 = cross = 0.0
-    if fin_s and fin_t:
-        k00 = _dot(p, _gvec(rp, rm, X, Y, s, t, q)) / (pe * (s + t))
-        k11 = _dot(p1, _gvec(rp, rm, X, Y, -t, -s, q1)) / (pe * (-t - s))
-        # the A_s and A_mt terms of the anti-incidence limit formulas
-        cross = _dot(p1, gs) * _dot(p, gt) / (pe * (s + t))
-    # A_sigma and the middle row of the anti-incidence limit formulas; the
-    # limits K01_n(s, -s), K10_n(-t, t) enter shifted to n-1
-    a10 = pr_u * Y + (wS * p[0] * br.brx_q1 + wT * p1[0] * br.brx_q) / pe
-    am10 = -pr_d * X + (wS * p[2] * br.bry_q1 + wT * p1[2] * br.bry_q) / pe
-    sigma = ((n + 1.0 - rp * pr_u, a10, rm * pr_u),
-             (-rp, -a - 1.0 + rp * pr_u - rm * pr_d, rm),
-             (-rp * pr_d, am10, -n - a - b + rm * pr_d))
-    mid = (pr_u, 1.0, pr_d + sv[1] / sv[2])
+    rp, rm, brx_q1, bry_q1, bry_p, brx_q, bry_q, bry_p1 = bracket_terms(
+        y[20:23], y[0:3], y[3:6], y[6:9], y[9:12], X, Y, s, t)
+    pr_u, pr_d = piu / pin, pid / pin
+    er_u, er_d = etu / etn, etd / etn
+    # G(s, -s) Q1(-s), G(-t, t) Q(t) and the two off-anti-incidence kernels,
+    # G_n(x, y) w of ``_gvec``: a row of G(x, y) depends on x or on y alone
+    gs0 = gs1 = gs2 = gt0 = gt1 = gt2 = k00 = k11 = cross = 0.0
+    if s != INF:
+        xs, ys = X - s, Y + s
+        gs0, gs1 = rp * bry_q1, rp * xs * q1u + xs * ys * q1n + rm * ys * q1d
+        gs2 = rm * (-rp * q1u + xs * q1n + rm * q1d)
+    if t != INF:
+        xt, yt = X + t, Y - t
+        gt0, gt1 = rp * bry_q, rp * xt * qu + xt * yt * qn + rm * yt * qd
+        gt2 = rm * (-rp * qu + xt * qn + rm * qd)
+        if s != INF:
+            st = pe * (s + t)
+            k00 = (pu * gt0 + pn * (rp * xs * qu + xt * ys * qn + rm * ys * qd) + pd * gt2) / st
+            k11 = ((p1u * gs0 + p1n * (rp * xt * q1u + xs * yt * q1n + rm * yt * q1d)
+                    + p1d * gs2) / (pe * (-t - s)))
+            # the A_s and A_mt terms of the anti-incidence limit formulas
+            cross = (p1u * gs0 + p1n * gs1 + p1d * gs2) * (pu * gt0 + pn * gt1 + pd * gt2) / st
+    # A_sigma (entries sNM) and the middle row (pr_u, 1, mid2) of the
+    # anti-incidence limit formulas; the limits K01_n(s, -s), K10_n(-t, t)
+    # enter shifted to n-1
+    rpu, rmu, rpd, mrp = rp * pr_u, rm * pr_u, -rp * pr_d, -rp
+    s00, s11, s22 = n + 1.0 - rpu, -a - 1.0 + rpu - rm * pr_d, -n - a - b + rm * pr_d
+    s01 = pr_u * Y + (wS * pu * brx_q1 + wT * p1u * brx_q) / pe
+    s21 = -pr_d * X + (wS * pd * bry_q1 + wT * p1d * bry_q) / pe
+    mid2 = pr_d + Sn / Sd
     out = [0.0] * 24
     if ds:
-        h, hd = 0.5 * ws, 0.5 * wS
-        d = (p[0] * q1[0], p[1] * q1[1], p[2] * q1[2])
-        cb, cbb = p[2] * q1[1], p[1] * q1[2]  # corners of B_inf0, B_inf0b
-        k01 = ((p[1] * _dot(mid, gs) + _dot(_mv(sigma, p), gs) / s - wT * cross / s)
-               / pe - p[1] * q1[1])
-        a0 = _a0_plus(n, a, b, s, pr_u, pr_d, X, Y, rp, rm, wT * p1[2] * q[1])
-        d0 = _d0_minus(n, a, b, s, er_u, er_d, X, Y, rp, rm, wT * p1[1] * q[2])
-        out_s = (*_spectral(a0, hd, d, p, wT * k00, p1, s),
-                 *_corner(h, d, cbb, q, ws * k00, q1),
-                 *_corner(h, d, cb, p1, ws * k11, p),
-                 *_spectral(d0, hd, d, q1, wT * k11, q, s),
-                 *_corner(h, d, cb, piv, -ws / etn * br.brx_q1, p),
-                 *_corner(h, d, cbb, etav, -ws / pin * br.bry_p, q1),
-                 ws * (-rp * p[0] * q1[1] + rm * p[1] * q1[2]),
-                 ws * (-rp * p[1] * q1[0] + rm * p[2] * q1[1]),
-                 h * sv[0] * d[0], h * sv[1] * d[1], h * sv[2] * d[2],
-                 -ws * k01)
-        out = [ds * v for v in out_s]
+        # d = P(s) Q1(-s); a corner equation B w + k v is (h d0 w0, -h d1 w1,
+        # -h (2 c w1 + d2 w2)) + k v, c the corner of B = B_inf0 or B_inf0b
+        h, hd, d0, d1, d2 = 0.5 * ws, 0.5 * wS, pu * q1u, pn * q1n, pd * q1d
+        h0, mh1, hd0, hd1, hd2, mh = h * d0, -h * d1, hd * d0, hd * d1, hd * d2, -h
+        cb2, cbb2 = 2.0 * (pd * q1n), 2.0 * (pn * q1d)
+        k01 = ((pn * (pr_u * gs0 + gs1 + mid2 * gs2)
+                + ((s00 * pu + s01 * pn + rmu * pd) * gs0
+                   + (mrp * pu + s11 * pn + rm * pd) * gs1
+                   + (rpd * pu + s21 * pn + s22 * pd) * gs2) / s
+                - wT * cross / s) / pe - pn * q1n)
+        # the spectral equations ((A + hd diag(d0, -d1, -d2)) w - k v) / s for
+        # A = A_0^+ on P(s) and A = D_0^- on Q1(-s)
+        k, a1, a2 = wT * k00, -pr_d * xs + wT * p1d * qn, rm * pr_d - n - a - b
+        o0 = (s00 * pu + pr_u * ys * pn + rmu * pd + hd0 * pu - k * p1u) / s
+        o1 = (mrp * pu + (ys - n - a - b - 1.0) * pn + rm * pd - hd1 * pn - k * p1n) / s
+        o2 = (rpd * pu + a1 * pn + a2 * pd - hd2 * pd - k * p1d) / s
+        k, e00, e21 = wT * k11, n + 1.0 + b + s - rp * er_u, -er_d * ys + wT * p1n * qd
+        o9 = (e00 * q1u + er_u * xs * q1n + rm * er_u * q1d + hd0 * q1u - k * qu) / s
+        o10 = (mrp * q1u + (X - n - a - 1.0) * q1n + rm * q1d - hd1 * q1n - k * qn) / s
+        o11 = (-rp * er_d * q1u + e21 * q1n + (rm * er_d + s - n - a) * q1d - hd2 * q1d
+               - k * qd) / s
+        k, k2, k3, k4 = ws * k00, ws * k11, -ws / etn * brx_q1, -ws / pin * bry_p
+        out = [ds * v for v in (
+            o0, o1, o2,
+            h0 * qu + k * q1u, mh1 * qn + k * q1n, mh * (cbb2 * qn + d2 * qd) + k * q1d,
+            h0 * p1u + k2 * pu, mh1 * p1n + k2 * pn, mh * (cb2 * p1n + d2 * p1d) + k2 * pd,
+            o9, o10, o11,
+            h0 * piu + k3 * pu, mh1 * pin + k3 * pn, mh * (cb2 * pin + d2 * pid) + k3 * pd,
+            h0 * etu + k4 * q1u, mh1 * etn + k4 * q1n, mh * (cbb2 * etn + d2 * etd) + k4 * q1d,
+            ws * (mrp * pu * q1n + rm * pn * q1d), ws * (mrp * pn * q1u + rm * pd * q1n),
+            h * Su * d0, h * Sn * d1, h * Sd * d2, -ws * k01)]
     if dt:
-        h, hd = 0.5 * wt, 0.5 * wT
-        d = (p1[0] * q[0], p1[1] * q[1], p1[2] * q[2])
-        cc, ccb = p1[2] * q[1], p1[1] * q[2]  # corners of C_inf0, C_inf0b
-        k10 = ((p1[1] * _dot(mid, gt) - _dot(_mv(sigma, p1), gt) / t - wS * cross / t)
-               / pe - p1[1] * q[1])
-        d0 = _d0_plus(n, a, b, t, er_u, er_d, X, Y, rp, rm, wS * p[1] * q1[2])
-        a0 = _a0_minus(n, a, b, t, pr_u, pr_d, X, Y, rp, rm, wS * p[2] * q1[1])
-        out_t = (*_corner(h, d, cc, p, wt * k00, p1),
-                 *_spectral(d0, hd, d, q, wS * k00, q1, t),
-                 *_spectral(a0, hd, d, p1, wS * k11, p, t),
-                 *_corner(h, d, ccb, q1, wt * k11, q),
-                 *_corner(h, d, cc, piv, -wt / etn * br.brx_q, p1),
-                 *_corner(h, d, ccb, etav, -wt / pin * br.bry_p1, q),
-                 wt * (-rp * p1[0] * q[1] + rm * p1[1] * q[2]),
-                 wt * (-rp * p1[1] * q[0] + rm * p1[2] * q[1]),
-                 h * sv[0] * d[0], h * sv[1] * d[1], h * sv[2] * d[2],
-                 -wt * k10)
-        out = [o + dt * v for o, v in zip(out, out_t)]
+        # the same with d = P1(-t) Q(t) and B = C_inf0 or C_inf0b
+        h, hd, d0, d1, d2 = 0.5 * wt, 0.5 * wT, p1u * qu, p1n * qn, p1d * qd
+        h0, mh1, hd0, hd1, hd2, mh = h * d0, -h * d1, hd * d0, hd * d1, hd * d2, -h
+        cc2, ccb2 = 2.0 * (p1d * qn), 2.0 * (p1n * qd)
+        k10 = ((p1n * (pr_u * gt0 + gt1 + mid2 * gt2)
+                - ((s00 * p1u + s01 * p1n + rmu * p1d) * gt0
+                   + (mrp * p1u + s11 * p1n + rm * p1d) * gt1
+                   + (rpd * p1u + s21 * p1n + s22 * p1d) * gt2) / t
+                - wS * cross / t) / pe - p1n * qn)
+        # D_0^+ on Q(t) and A_0^- on P1(-t), the spectral equations
+        k, e21, e22 = wS * k00, -er_d * yt + wS * pn * q1d, rm * er_d - n - a - b
+        o3 = ((n + 1.0 - rp * er_u) * qu + er_u * xt * qn + rm * er_u * qd + hd0 * qu
+              - k * q1u) / t
+        o4 = (mrp * qu + (xt - n - a - b - 1.0) * qn + rm * qd - hd1 * qn - k * q1n) / t
+        o5 = (-rp * er_d * qu + e21 * qn + e22 * qd - hd2 * qd - k * q1d) / t
+        k, a00, a21 = wS * k11, n + 1.0 + a + t - rpu, -pr_d * xt + wS * pd * q1n
+        o6 = (a00 * p1u + pr_u * yt * p1n + rmu * p1d + hd0 * p1u - k * pu) / t
+        o7 = (mrp * p1u + (Y - n - b - 1.0) * p1n + rm * p1d - hd1 * p1n - k * pn) / t
+        o8 = (rpd * p1u + a21 * p1n + (rm * pr_d - n - b + t) * p1d - hd2 * p1d - k * pd) / t
+        k, k2, k3, k4 = wt * k00, wt * k11, -wt / etn * brx_q, -wt / pin * bry_p1
+        out = [o + dt * v for o, v in zip(out, (
+            h0 * pu + k * p1u, mh1 * pn + k * p1n, mh * (cc2 * pn + d2 * pd) + k * p1d,
+            o3, o4, o5, o6, o7, o8,
+            h0 * q1u + k2 * qu, mh1 * q1n + k2 * qn, mh * (ccb2 * q1n + d2 * q1d) + k2 * qd,
+            h0 * piu + k3 * p1u, mh1 * pin + k3 * p1n, mh * (cc2 * pin + d2 * pid) + k3 * p1d,
+            h0 * etu + k4 * qu, mh1 * etn + k4 * qn, mh * (ccb2 * etn + d2 * etd) + k4 * qd,
+            wt * (mrp * p1u * qn + rm * p1n * qd), wt * (mrp * p1n * qu + rm * p1d * qn),
+            h * Su * d0, h * Sn * d1, h * Sd * d2, -wt * k10))]
     return out
 
 
@@ -341,10 +343,12 @@ def residuals(y, n, a, b, xi, psi, s, t) -> list:
     # (7) and (8): bilinear orthogonality at anti-incidence
     if s != INF:
         g = _gvec(rp, rm, X, Y, s, -s, q1)
-        out[6] = _dot(p, g) / _scale(max(map(abs, p)) * max(map(abs, g)))
+        out[6] = ((p[0] * g[0] + p[1] * g[1] + p[2] * g[2])
+                  / _scale(max(map(abs, p)) * max(map(abs, g))))
     if t != INF:
         g = _gvec(rp, rm, X, Y, -t, t, q)
-        out[7] = _dot(p1, g) / _scale(max(map(abs, p1)) * max(map(abs, g)))
+        out[7] = ((p1[0] * g[0] + p1[1] * g[1] + p1[2] * g[2])
+                  / _scale(max(map(abs, p1)) * max(map(abs, g))))
     return out
 
 
@@ -472,15 +476,6 @@ _MAX_STEPS = 100000  # step attempts per path segment
 _DRIFT_GUARD = 1e-6  # worst constraint residual an accepted step may have
 
 
-def _step_factor(err: float, tol: float) -> float:
-    """The next step over this one: 0.9 (tol/err)^(1/8) within [0.2, 10],
-    10 at a zero error and 0.2 at a NaN one."""
-    if err == 0:
-        return 10.0
-    fac = 0.9 * (tol / err) ** 0.125
-    return min(fac, 10.0) if fac >= 0.2 else 0.2
-
-
 def integrate(fs0: FlowState, path, tol: float = 1e-8):
     """Integrate the flow along a piecewise-linear (s,t) path with the
     Dormand-Prince 8(5,3) pair (DOP853), first-same-as-last.
@@ -496,20 +491,24 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
     |h E K_i| / max(|y_i|, |y8_i|), a component that is zero at both ends
     counting zero, except for log Z, whose error is absolute: its absolute
     error is the relative error of Z.  A step is accepted when that is at
-    most tol, and the next step is ``_step_factor`` times this one.  Then
+    most tol, and the next step is 0.9 (tol/err)^(1/8) times this one, within
+    [0.2, 10] (10 at a zero error, 0.2 at a NaN one).  Then
     ``residuals`` evaluates the eight constraints on y8 as plain floats; a
     step whose worst residual exceeds 1e-6 is rejected and halved: the
     constraints are conserved by the exact flow, so their drift is global
     discretization error.  An attempt works on vectors only: a FlowState is
     built for each accepted step, none for a rejected one, and carries the
     worst residual along the path so far, the start's included, as
-    ``drift``.  Below the floor step (1e-12 of the segment) the flow aborts
-    with the offending constraint, and after 100,000 step attempts on one
-    segment it aborts too.  A NaN error estimate or residual fails its guard
-    like an oversized one.  A segment that is not finite, such as one along
-    an infinite cutoff, raises DomainError.
+    ``drift``.  Step control stays in Python floats (a numpy scalar would slow
+    every stage's arithmetic): h, u, the errors and the drift are floats, so
+    ``rhs_total`` and ``residuals`` get float cutoffs, and every state's s, t
+    and drift are floats.  Below the floor step (1e-12 of the segment) the
+    flow aborts with the offending constraint, and after 100,000 step
+    attempts on one segment it aborts too.  A NaN error estimate or residual
+    fails its guard like an oversized one.  A segment that is not finite,
+    such as one along an infinite cutoff, raises DomainError.
     """
-    init_res = np.abs(constraint_residuals(fs0)).max()
+    init_res = float(np.abs(constraint_residuals(fs0)).max())
     if not init_res <= 1e-8:
         raise FlowAbort(f"initial state violates constraints ({init_res:.2e})")
     drift = max(init_res, fs0.drift)
@@ -552,10 +551,10 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
             scale = np.maximum(np.abs(y), np.abs(y8))
             scale[scale == 0.0] = np.inf
             scale[-1] = 1.0
-            e5 = h * np.max(np.abs(_E5 @ stages) / scale)
-            e3 = h * np.max(np.abs(_E3 @ stages) / scale)
+            e5, e3 = (h * (np.abs((_E5 @ stages, _E3 @ stages)) / scale).max(axis=1)).tolist()
             err = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 or e3 else 0.0
-            fac = _step_factor(err, tol)
+            fac = 0.9 * (tol / err) ** 0.125 if err else 10.0
+            fac = min(fac, 10.0) if fac >= 0.2 else 0.2
             if not err <= tol:
                 h = max(fac * h, floor)
                 if h <= floor:
@@ -563,15 +562,15 @@ def integrate(fs0: FlowState, path, tol: float = 1e-8):
                 continue
             s, t = s0 + (u + h) * ds, t0 + (u + h) * dt
             res = np.abs(residuals(y8.tolist(), n, a, b, xi, psi, s, t))
-            if not res.max() <= _DRIFT_GUARD:
+            worst = float(res.max())
+            if not worst <= _DRIFT_GUARD:
                 h = 0.5 * h
                 if h <= floor:
-                    raise FlowAbort(
-                        f"constraint {int(res.argmax())} drifted to {res.max():.2e}")
+                    raise FlowAbort(f"constraint {int(res.argmax())} drifted to {worst:.2e}")
                 continue
             u += h
             y = y8
-            drift = max(drift, res.max())
+            drift = max(drift, worst)
             traj.append(FlowState.from_vector(y8, template, s, t, drift))
             k1 = k13
             h = fac * h

@@ -5,7 +5,7 @@ import pytest
 
 from bhgap import bops, flow, kernels, lax
 from bhgap.bops import EvalBundle, brackets, build_state, deformation_weights, eval_bundle, zdet
-from bhgap.ensembles import c_cl2m, z_cl2m, z_cl2m_flow
+from bhgap.ensembles import c_cl2m, z_bhft, z_cl2m, z_cl2m_flow, z_ubh
 from bhgap.flow import (
     FlowAbort,
     FlowState,
@@ -20,7 +20,7 @@ from bhgap.flow import (
     rhs_total_t,
     trajectory_table,
 )
-from bhgap.params import INF, DeformPoint, DomainError, ModelParams
+from bhgap.params import INF, DeformPoint, DomainError, GenericityError, ModelParams
 
 P = ModelParams(m=2, a=0.0, b=1.0, xi=1.0, psi=1.0)
 D = DeformPoint(1.0, 1.0)
@@ -599,3 +599,36 @@ def test_flow_is_insensitive_to_the_last_bit_of_a_seed(monkeypatch, k):
             assert abs(z_cl2m_flow(p, d).value - want) <= 1e-8 * abs(want)
     finally:
         bops.clear_caches()
+
+
+def test_integrate_keeps_step_control_in_python_floats(monkeypatch):
+    # a numpy scalar error estimate once made h, u and every stage's cutoffs
+    # numpy scalars, which doubled the cost of each right-hand side
+    seen = set()
+    monkeypatch.setattr(flow, "rhs_total",
+                        lambda *a, f=flow.rhs_total: seen.update(map(type, a[6:])) or f(*a))
+    p = ModelParams(5, 0.3, 0.7, 1.0, 0.6)
+    traj = integrate(from_moments(p, D, 5), [(1.0, 1.0), (3.4, 2.2)], tol=1e-11)
+    assert seen == {float}
+    assert [type(v) for v in (traj[-1].s, traj[-1].t, traj[-1].drift)] == [float] * 3
+
+
+@pytest.mark.parametrize("route", [
+    lambda: z_cl2m(ModelParams(4, 0.3, 0.7, 1.0, 0.6), DeformPoint(2.0, 3.0)),
+    lambda: z_ubh(ModelParams(4, 0.5, 0.0, 1.0, 1.0), 3.0),
+    lambda: z_bhft(ModelParams(3, 0.5, 0.0, 0.7, 1.0), 0.6),
+    # the flow's est_error comes from its drift here
+    lambda: z_cl2m_flow(ModelParams(6, 0.3, 0.7, 1.0, 1.0), DeformPoint(3.5, 3.5)),
+], ids=["z_cl2m", "z_ubh", "z_bhft", "z_cl2m_flow"])
+def test_est_error_is_a_python_float(route):
+    assert type(route().est_error) is float
+
+
+@pytest.mark.parametrize("d", [DeformPoint(0.6, 0.6), DeformPoint(2.0, 2.0),
+                               DeformPoint(3.5, 3.5)], ids=str)
+def test_flow_refuses_an_m8_start_that_misses_the_constraints(d):
+    # at (1, 1) pi_9 is 2.3e-13 of its largest term and the genericity test
+    # refuses it; with that test loosened the start misses constraint 2 by
+    # 2.05e-7 and every target aborts, so the refusal is not spurious
+    with pytest.raises((GenericityError, FlowAbort)):
+        z_cl2m_flow(ModelParams(8, 0.3, 0.7, 1.0, 0.6), d)

@@ -1,8 +1,11 @@
+import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,3 +65,31 @@ def test_route_outputs_takes_a_workload_list(monkeypatch):
                      for s in (1, 90017)]
     with pytest.raises(SystemExit):
         mod.main(["--workload", "deep-cutoff,no-such-workload"])
+
+
+def test_route_outputs_prints_bits_not_types(monkeypatch):
+    # a numpy scalar prints like the float it equals, so a diff shows bits only
+    mod = load_route_outputs(monkeypatch)
+    as_numpy = SimpleNamespace(value=np.float64(0.1), est_error=np.float64(2e-9))
+    as_float = SimpleNamespace(value=0.1, est_error=2e-9)
+    assert mod.result_text(as_numpy) == mod.result_text(as_float) == "(0.1, 2e-09)"
+    as_complex = SimpleNamespace(value=0.1 + 0.2j, est_error=1e-9)
+    assert mod.result_text(as_complex) == "((0.1+0.2j), 1e-09)"
+
+
+def test_tracer_wraps_and_restores_every_layer():
+    # a renamed wrap site or cache fails here, not in the traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [(importlib.import_module(f"bhgap.{mod}"), attr) for _, mod, attr, _ in tracer.LAYERS]
+    before = [getattr(mod, attr) for mod, attr in sites]
+    for _, mod, attr in tracer.CACHES:
+        getattr(importlib.import_module(f"bhgap.{mod}"), attr).cache_info()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert all(getattr(mod, attr) is not orig for (mod, attr), orig in zip(sites, before))
+    finally:
+        tr.close()
+    assert all(getattr(mod, attr) is orig for (mod, attr), orig in zip(sites, before))

@@ -8,9 +8,9 @@ Run it from any directory: it imports the ``src`` of the checkout it sits in
 and the benchmark's point generator, ``perfbench/workloads.py``, which it
 only reads.  ``--workload`` takes a comma-separated list of workloads, run in
 turn, or ``all``, and ``--seeds`` a comma-separated list of seeds and
-inclusive ranges.  Each line is the
-workload and seed, the point (``workloads.describe``), then
-``repr((value, est_error))`` or the exception's class and message.  Warnings
+inclusive ranges.  Each line is the workload and seed, the point
+(``workloads.describe``), then ``repr((value, est_error))`` with each real
+number as a Python float, or the exception's class and message.  Warnings
 are ignored, as in the benchmark's worker.  Two checkouts print the same
 lines exactly when their outputs are bitwise equal, so one diff of their
 outputs shows whether a change keeps them.
@@ -34,11 +34,16 @@ def output_lines(workload: str, seed: int, passes: int):
     count = passes * workloads.cycle_length(workload)
     for pt in itertools.islice(workloads.points(workload, seed), count):
         try:
-            r = workloads.call(pt)
-            out = repr((r.value, r.est_error))
+            out = result_text(workloads.call(pt))
         except Exception as exc:  # a failing point is an output too
             out = f"{type(exc).__name__}: {exc}"
         yield f"{workloads.describe(pt)} {out}"
+
+
+def result_text(r) -> str:
+    """``repr((value, est_error))``, each real number as ``repr(float(x))`` so a
+    numpy scalar prints like the float it equals; a complex value as it is."""
+    return repr(tuple(x if isinstance(x, complex) else float(x) for x in (r.value, r.est_error)))
 
 
 def parse_seeds(text: str) -> list[int]:
