@@ -209,7 +209,7 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         wtp.append(t_dd * wtp[-1])
 
     def boxed_chain(a0dd, cutdd, wpow, off, fac):
-        # top order seeded by the ascending series in DD off the shared weight
+        # top order seeded by the ascending series off the shared weight
         # power: gamma_lower(A, c) = c^A e^-c sum_n c^n / (A (A+1) ... (A+n));
         # the downward recursion then divides errors away
         if off:
@@ -219,11 +219,19 @@ def _dd_gram(p: ModelParams, d: DeformPoint, size: int, hi_fidelity: bool = Fals
         # the terms grow while n < c - A - K and the sum needs about
         # c + 12 sqrt(c) of them, so the cap grows with the cutoff c
         n, cap = K, K + 400 + 2 * int(abs(dd.unwrap(cutdd)))
-        while mag(term) > 1e-34 * mag(acc) and n < cap:
+        while mag(term) > 1e-18 * mag(acc) and n < cap:
             n += 1
             term = term * cutdd / (a0dd + w(n))
             acc = acc + term
-        out = [wpow[K - 1] * acc]
+        # the terms left are below 1e-18 of the sum, so float64 (or complex)
+        # keeps them to ~1e-34 of it, as DD terms would
+        t, c, a0 = (dd.unwrap(x) for x in (term, cutdd, a0dd))
+        tail, stop = 0.0, 1e-34 * mag(acc)
+        while abs(t) > stop and n < cap:
+            n += 1
+            t = t * c / (a0 + n)
+            tail += t
+        out = [wpow[K - 1] * (acc + w(tail))]
         for j in range(K - 2, -1, -1):
             out.append((out[-1] + wpow[j]) / fac[j])
         out.reverse()

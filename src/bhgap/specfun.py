@@ -18,8 +18,8 @@ The boxed int_0^x e^-u u^a (u+y)^-1 du has one panel set for both of its
 precisions: `gamma2_boxed` (Kronrod, float64) and `gamma2_boxed_dd` (one
 Gauss-Legendre level, double-double).  The latter is a batch: every boxed
 seed and weight power c^(a+1) e^-c of one hi-fi Gram in one array pass of
-`dd.vln` and `dd.vexp`, since numpy's per-call cost outweighs the work on a
-few hundred nodes.
+the table-driven `dd.vln` and `dd.vexp`, since numpy's per-call cost
+outweighs the work on a few hundred nodes.
 
 Every incomplete gamma and Gamma2 function returns a SpecFunResult carrying
 the value and an absolute error estimate, so callers can propagate
@@ -549,11 +549,11 @@ def gamma2_boxed_dd(seeds: tuple, weights: tuple = ()) -> tuple:
     value by <= 5e-31 relative.  Every power and exponential is
     e^(A ln v - v): at the nodes v = u with A = a + shift, at each first
     panel's end v = c with A = a + shift + 1 and at each weight's base with
-    A = a + 1, so one `dd.vln` and one `dd.vexp` evaluate them all.  A
-    weight's exponent stays above -700, where vexp flushes to zero, for
-    a > -1 and 1 <= c <= 700; c e^(a ln c - c) would not.  A seed is within
-    1e-28 of 40-digit mpmath for x <= 700 (a in [-0.5, 1.1], shift 0 or
-    5-40, y in [0.05, 700]; 3e-32 at x = y = 700).
+    A = a + 1, so one `dd.vln` and one `dd.vexp`, each by table, evaluate
+    them all.  A weight's exponent stays above -700, where vexp flushes to
+    zero, for a > -1 and 1 <= c <= 700; c e^(a ln c - c) would not.  A seed
+    is within 1e-28 of 40-digit mpmath for x <= 700 (a in [-0.5, 1.1],
+    shift 0 or 5-40, y in [0.05, 700]; 3e-32 at x = y = 700).
     """
     for a, x, y, shift in seeds:
         if not (x > 0.0 and y > 0.0 and a + shift > -1.0):

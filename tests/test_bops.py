@@ -334,19 +334,19 @@ def test_zero_coefficient_corners_are_not_built(monkeypatch):
 # (m, a, b, xi, psi, s, t) -> the hi-fi Gram's entries, row by row, as (hi, lo)
 # or (re hi, re lo, im hi, im lo).  The real keys carry the last bits of the
 # batched DD seeds and weight powers: every entry of the first is within
-# 4.2e-32 relative of 45-digit mpmath, and every entry of the second within
+# 7.6e-32 relative of 45-digit mpmath, and every entry of the second within
 # 4.2e-31 of a 45-digit replay that keeps its float64 Gamma(b+1) and G2s0
 HIFI_GRAM_GOLDEN = {
     (3, 0.3, 0.7, 1.0, 1.0, 2.4, 1.9): [
-        (0.31801876593563144, -2.3827785748443064e-17),
-        (0.2408209793067441, 2.932133477260027e-18),
-        (0.2597529984293947, 1.5968864793299515e-17),
-        (0.21721034632363295, -3.717715681392261e-18),
-        (0.17708256781665935, 6.232675702350398e-18),
-        (0.19713399955197902, 1.9318947478617312e-18),
-        (0.24939573852375155, 8.733824150444177e-18),
-        (0.20960868815714273, 1.2973107244642027e-17),
-        (0.23673715418789992, -1.162204979927125e-17),
+        (0.31801876593563144, -2.3827785748443058e-17),
+        (0.2408209793067441, 2.9321334772600288e-18),
+        (0.2597529984293947, 1.5968864793299518e-17),
+        (0.21721034632363295, -3.717715681392252e-18),
+        (0.17708256781665935, 6.232675702350407e-18),
+        (0.19713399955197902, 1.9318947478617436e-18),
+        (0.24939573852375155, 8.73382415044418e-18),
+        (0.20960868815714273, 1.297310724464202e-17),
+        (0.23673715418789992, -1.1622049799271256e-17),
     ],
     (3, 0.3, 0.7, 1.0, 0.6, 1.1, 2.2): [
         (0.27547957873922796, 1.0409536588836686e-17),
@@ -417,6 +417,27 @@ def test_hifi_gram_weights_do_not_underflow_at_700(key):
     for e, (hi, lo) in zip((e for row in M for e in row), HIFI_GRAM_AT_700[key]):
         assert e.hi != 0.0
         assert abs((e.hi - hi) + (e.lo - lo)) <= 2e-20 * hi
+
+
+# s -> twice the worst relative error of the hi-fi alpha chain against
+# 45-digit mpmath with the series summed wholly in DD, over the a and m below
+BOXED_CHAIN_BOUND = {0.3: 1.6e-31, 1.0: 1.6e-31, 5.0: 1.1e-31, 30.0: 3.6e-31,
+                     120.0: 1.2e-30, 300.0: 3.0e-30, 600.0: 6.2e-30, 672.0: 5.6e-30}
+
+
+@pytest.mark.parametrize("s", list(BOXED_CHAIN_BOUND))
+def test_boxed_chain_matches_mpmath(s):
+    # at xi = psi = 1 the alpha chain is the boxed chain gamma_lower(a+1+j, s),
+    # seeded at its top order by the series whose small terms run in float64
+    worst = 0.0
+    for a in (-0.5, 0.3, 1.1):
+        for m in (2, 6, 10):
+            alpha = bops._dd_gram(ModelParams(m, a, 0.7, 1.0, 1.0), DeformPoint(s, 2.0), m, True)[1]
+            with mp.workdps(45):
+                for j, e in enumerate(alpha):
+                    want = mp.gammainc(mp.mpf(a) + 1 + j, 0, mp.mpf(s))
+                    worst = max(worst, abs((mp.mpf(e.hi) + mp.mpf(e.lo)) / want - 1))
+    assert worst <= BOXED_CHAIN_BOUND[s]
 
 
 def test_eval_bundle_contents():

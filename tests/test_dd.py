@@ -107,6 +107,74 @@ def test_ln_of_tiny_arguments(x):
             assert abs((mpmath.mpf(g.hi) + mpmath.mpf(g.lo) - want) / want) <= 1e-30
 
 
+def correctly_rounded(pair, want):
+    """pair is the DD nearest want: hi rounds want and lo rounds want - hi."""
+    hi, lo = pair
+    return hi == float(want) and lo == float(want - mpmath.mpf(hi))
+
+
+def test_kernel_tables_are_correctly_rounded():
+    mp = mpmath.mpf
+    with mpmath.workdps(60):
+        assert len(dd._EXP2_HI) == len(dd._EXP2_LO) == 64
+        for j in range(64):
+            assert correctly_rounded((dd._EXP2_HI[j], dd._EXP2_LO[j]), mp(2) ** (mp(j) / 64)), j
+        assert len(dd._LNF_HI) == len(dd._LNF_LO) == 129
+        for j in range(129):
+            assert correctly_rounded((dd._LNF_HI[j], dd._LNF_LO[j]),
+                                     mpmath.log(1 + mp(j) / 128)), j
+        # at most 36 significant bits, so k times the head is exact for |k| < 2^16
+        assert math.frexp(dd._LN2_64_HEAD)[0] * 2.0 ** 36 % 1.0 == 0.0
+        assert correctly_rounded(dd._LN2_64_TAIL, mpmath.log(2) / 64 - mp(dd._LN2_64_HEAD))
+        for c, n in zip(dd._EXPM1_HEAD, (5, 4, 3, 2)):
+            assert correctly_rounded(c, 1 / mpmath.factorial(n)), n
+        assert dd._EXPM1_TAIL == tuple(float(1 / mpmath.factorial(n)) for n in range(11, 5, -1))
+        for c, n in zip(dd._ATANH_HEAD, (5, 3)):
+            assert correctly_rounded(c, mp(2) / n), n
+        assert dd._ATANH_TAIL == tuple(float(mp(2) / n) for n in (13, 11, 9, 7))
+
+
+def test_vexp_at_reduction_edges():
+    # x halfway between multiples k ln 2/64, where |r| reaches ln 2/128 and
+    # the rounding of k picks either neighbour: k near multiples of 64, where
+    # the table index wraps, and near the ends of the range, |k| ~ 64640
+    ks = [64 * q + d for q in (-1009, -600, -64, -1, 0, 1, 64, 600, 1009) for d in (-1, 0, 1)]
+    ks += [*range(-64640, -64620), *range(64620, 64640)]
+    xs = np.array([(k + h) * math.log(2.0) / 64.0 for k in ks for h in (-0.5, 0.5)])
+    x = dd_pairs(xs[np.abs(xs) <= 700.0], np.random.default_rng(11))
+    got = dd.vexp(x)
+    with mpmath.workdps(40):
+        for i in range(x[0].size):
+            want = mpmath.exp(mpmath.mpf(x[0][i]) + mpmath.mpf(x[1][i]))
+            diff = abs(mpmath.mpf(got[0][i]) + mpmath.mpf(got[1][i]) - want)
+            assert diff <= 1e-30 * want + 2.0 ** -1074, x[0][i]
+
+
+def test_vln_of_dd_inputs_at_table_edges():
+    # DDs with lo parts, as the batch passes them: x = 2^e f with f halfway
+    # between the table points 1 + j/128, and f just below and at 2, where a
+    # negative lo part carries x below the power of 2
+    fs = [1.0 + (j + h) / 128.0 for j in range(128) for h in (-0.5, 0.5)]
+    fs += [2.0 - 2.0 ** -52, 2.0 - 2.0 ** -40, 2.0 - 2.0 ** -20, 1.0, 2.0]
+    xs = np.array([math.ldexp(f, e) for f in fs for e in (-1020, -3, 0, 5, 1000)])
+    x = dd_pairs(xs, np.random.default_rng(12))
+    got = dd.vln(x)
+    with mpmath.workdps(40):
+        for i in range(xs.size):
+            want = mpmath.log(mpmath.mpf(x[0][i]) + mpmath.mpf(x[1][i]))
+            diff = abs(mpmath.mpf(got[0][i]) + mpmath.mpf(got[1][i]) - want)
+            assert diff <= 1e-30 * max(abs(want), 1), (x[0][i], x[1][i])
+
+
+def test_vln_takes_no_exponential(monkeypatch):
+    def no_exp(*args):
+        raise AssertionError("vln took an exponential")
+    for name in ("vexp", "dd_exp"):
+        monkeypatch.setattr(dd, name, no_exp)
+    got = dd.vln((np.array([5e-324, 0.5, 1.0, 3.0, 1e300]), np.zeros(5)))
+    assert got[0][2] == got[1][2] == 0.0
+
+
 # DD arithmetic as composed from the module's error-free transformations, the
 # form the inlined operators must reproduce bit for bit
 def ref_add(x, y):

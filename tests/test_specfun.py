@@ -349,10 +349,11 @@ def test_gamma2_boxed_dd_first_panel_cancels_at_700():
 
 def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
     # one hi-fi Gram is one batch: both seeds, the first panels' powers and
-    # the weight powers take one vln and one vexp (two vexp, one inside vln),
-    # and no scalar exp or pow is left
-    calls = {"dd_exp": 0, "dd_pow": 0, "vexp": 0, "gamma2_boxed_dd": 0}
-    for mod, name in ((dd, "dd_exp"), (dd, "dd_pow"), (dd, "vexp"), (bops, "gamma2_boxed_dd")):
+    # the weight powers take one vln and one vexp, and no scalar exp or pow
+    # is left
+    calls = {"dd_exp": 0, "dd_pow": 0, "vexp": 0, "vln": 0, "gamma2_boxed_dd": 0}
+    for mod, name in ((dd, "dd_exp"), (dd, "dd_pow"), (dd, "vexp"), (dd, "vln"),
+                      (bops, "gamma2_boxed_dd")):
         def counted(*args, _fn=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -360,7 +361,7 @@ def test_gamma2_boxed_dd_evaluates_levels_as_arrays(monkeypatch):
     gamma2_boxed_dd.cache_clear()
     bops.clear_caches()
     bops._dd_gram(ModelParams(8, 0.7, 0.3, 1.0, 1.0), DeformPoint(3.4, 1.1), 8, True)
-    assert calls == {"dd_exp": 0, "dd_pow": 0, "vexp": 2, "gamma2_boxed_dd": 1}
+    assert calls == {"dd_exp": 0, "dd_pow": 0, "vexp": 1, "vln": 1, "gamma2_boxed_dd": 1}
 
 
 @pytest.mark.parametrize("seeds", [

@@ -93,3 +93,31 @@ def test_tracer_wraps_and_restores_every_layer():
     finally:
         tr.close()
     assert all(getattr(mod, attr) is orig for (mod, attr), orig in zip(sites, before))
+
+
+def test_compare_outputs_counts_equal_lines_moves_and_exception_changes(tmp_path):
+    pt = "route='z_cl2m' m=3 a=0.3 b=0.7 xi=1.0 psi=1.0 s={} t=1.9"
+    a = [f"deep-cutoff/1 {pt.format(1.5)} (0.25, 2.5e-11)",
+         f"deep-cutoff/1 {pt.format(1.5)} (0.25, 2.5e-11)",
+         f"deep-cutoff/2 {pt.format(2.5)} (0.5, 5e-11)",
+         f"flow/1 {pt.format(3.5)} DomainError: cutoffs (3.5, 1.9): out of range",
+         f"flow/1 {pt.format(4.5)} ((0.1+0.2j), 1e-09)"]
+    b = a[:2] + [f"deep-cutoff/2 {pt.format(2.5)} (0.5000000000001, 5e-11)",
+                 f"flow/1 {pt.format(3.5)} (nan, nan)",
+                 f"flow/1 {pt.format(4.5)} ((0.1+0.2j), 1e-09)",
+                 f"flow/2 {pt.format(5.5)} (0.75, 1e-12)"]
+    (tmp_path / "a.txt").write_text("\n".join(a) + "\n")
+    (tmp_path / "b.txt").write_text("\n".join(b) + "\n")
+    tool = [sys.executable, str(ROOT / "tools" / "compare_outputs.py")]
+    run = subprocess.run([*tool, str(tmp_path / "a.txt"), str(tmp_path / "b.txt")],
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout.splitlines() == [
+        "deep-cutoff: 3 points, 2 bitwise equal, largest relative move 2e-13",
+        "flow: 2 points, 1 bitwise equal, largest relative move 0",
+        f"  exception changed: flow/1 {pt.format(3.5)}: DomainError -> value",
+        f"  only in B: flow/2 {pt.format(5.5)}"]
+    same = subprocess.run([*tool, str(tmp_path / "a.txt"), str(tmp_path / "a.txt")],
+                          capture_output=True, text=True)
+    assert same.returncode == 0
+    assert same.stdout.splitlines()[0] == "deep-cutoff: 3 points, 3 bitwise equal, largest relative move 0"
