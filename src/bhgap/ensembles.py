@@ -8,9 +8,10 @@ exponential type k*t, so it is inverted at the shifted time 1 - k*t where its
 Bromwich integrand decays (coefficients with k*t >= 1 contribute exactly zero
 at unit trace).  Every shifted time shares one hyperbolic contour
 (Weideman & Trefethen, Math. Comp. 76, 2007), so a node's coefficient solve
-serves every coefficient.  The value comes from one hyperbola V, and its
-error evidence from a second, independent hyperbola E at the same node
-count; both step up in node count while they disagree.  All contour
+serves every coefficient, and each contour's nodes are evaluated as one
+batch.  The value comes from one hyperbola V, and its error evidence from a
+second, independent hyperbola E at the same node count; both step up in
+node count while they disagree.  All contour
 evaluations use exponentially rescaled matrix elements, so no large
 exponentials appear.
 """
@@ -217,29 +218,33 @@ def z_cl2m_flow(p: ModelParams, d: DeformPoint) -> GapResult:
 # fixed-trace route (shared hyperbolic contour)
 # ---------------------------------------------------------------------------
 
-def _pf_poly_values(m: int, a: float, z: complex, us: np.ndarray) -> np.ndarray:
-    """Rescaled Pfaffian at the bookkeeping values u (standing for xi e^-z):
-    the node's matrices at every u, bordered for odd m, as one stack with
-    one Pfaffian call."""
+def _pf_poly_values(m: int, a: float, z, us: np.ndarray) -> np.ndarray:
+    """Rescaled Pfaffians at the bookkeeping values u (standing for xi e^-z)
+    at one node z or an array of nodes: every node's matrices at every u,
+    bordered for odd m, as one stack with one Pfaffian call.  The result's
+    axes are z's, then u's."""
     off = m % 2
     idx = np.arange(m)
-    mats = np.zeros((len(us), m + off, m + off), dtype=complex)
+    zu = np.asarray(z)[..., None]  # a u axis after z's
+    mats = np.zeros(np.shape(z) + (len(us), m + off, m + off), dtype=complex)
     if off:
-        border = ubh_pf_border_rescaled(idx, m, a, z, us[:, None])
-        mats[:, 0, 1:] = border
-        mats[:, 1:, 0] = -border
-    blocks = ubh_pf_element_rescaled(idx[:, None], idx, m, a, z, us[:, None, None])
+        border = ubh_pf_border_rescaled(idx, m, a, zu, us[:, None])
+        mats[..., 0, 1:] = border
+        mats[..., 1:, 0] = -border
+    blocks = ubh_pf_element_rescaled(idx[:, None], idx, m, a, zu, us[:, None, None])
     # the lower triangle mirrors the upper one exactly
-    mats[:, off:, off:] = np.where(idx[:, None] < idx, blocks, -blocks.swapaxes(1, 2))
+    mats[..., off:, off:] = np.where(idx[:, None] < idx, blocks, -blocks.swapaxes(-1, -2))
     return plinalg.pfaffian(mats, check_skew=False)
 
 
-def _xi_coefficients(m: int, a: float, z: complex) -> np.ndarray:
-    """Coefficients p_k with Pf(M(xi)) = sum_k xi^k e^{-k z} p_k(z)."""
+def _xi_coefficients(m: int, a: float, z) -> np.ndarray:
+    """Coefficients p_k with Pf(M(xi)) = sum_k xi^k e^{-k z} p_k(z), at one
+    node z or an array of nodes (then one row per node).  Each node's
+    Vandermonde system is its own solve, as a stack."""
     us = np.arange(m + 1, dtype=float)
     vals = _pf_poly_values(m, a, z, us)
     vand = np.vander(us, m + 1, increasing=True)
-    return np.linalg.solve(vand, vals)
+    return np.linalg.solve(vand, vals[..., None])[..., 0]
 
 
 # (alpha, mu/N, h*N) of the two hyperbolas s(u) = mu (1 + sin(iu - alpha)) at
@@ -257,16 +262,18 @@ def _talbot_sum(transforms, rs: np.ndarray, contour, nodes: int) -> np.ndarray:
     hyperbola s(u) = mu (1 + sin(iu - alpha)) (Weideman & Trefethen, Math.
     Comp. 76, 2007): f_k(r_k) = (h/pi) Im sum_j' e^(s_j r_k) F_k(s_j) s'(u_j),
     j = 0..nodes, half weight at j = 0; the lower half of the contour is the
-    conjugate of the upper.  Each node evaluates transforms once for every
-    coefficient.  The name is kept from the fixed-Talbot rule this replaced:
-    `perfbench/tracer.py` counts contour sums under it."""
+    conjugate of the upper.  transforms is called once, on the list of all
+    nodes s_j, and returns one row of coefficient transforms per node; the
+    weighted sum then runs node by node.  The name is kept from the
+    fixed-Talbot rule this replaced: `perfbench/tracer.py` counts contour
+    sums under it."""
     alpha, mu_per_node, h_nodes = contour
     mu, h = mu_per_node * nodes, h_nodes / nodes
+    ws = [complex(-alpha, j * h) for j in range(nodes + 1)]
+    ss = [mu * (1.0 + cmath.sin(w)) for w in ws]
     tot = np.zeros(len(rs), dtype=complex)
-    for j in range(nodes + 1):
-        w = complex(-alpha, j * h)
-        s = mu * (1.0 + cmath.sin(w))
-        term = transforms(s) * (1j * mu * cmath.cos(w)) * np.exp(s * rs)
+    for j, (w, s, f) in enumerate(zip(ws, ss, transforms(ss))):
+        term = f * (1j * mu * cmath.cos(w)) * np.exp(s * rs)
         tot += 0.5 * term if j == 0 else term
     return h / math.pi * tot.imag
 
@@ -285,11 +292,19 @@ def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32) -> GapResult
     ContourError.  mu grows with the node count, and with it the roundoff
     of e^(s_0 r) at the contour's nearest point s_0 = mu (1 - sin alpha), so
     in binary64 more nodes stop helping; m >= 5 is not resolved.
+
+    At t >= 1 the value is exactly 1, with no contour work: no eigenvalue
+    exceeds the unit trace.  DomainError unless t > 0 and nodes is an
+    integer >= 1.
     """
     rtol = 1e-6
     tt = t if t is not None else 1.0
     if not tt > 0:
         raise DomainError(f"cutoff must be positive, got {tt}")
+    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise DomainError(f"nodes must be an integer >= 1, got {nodes!r}")
+    if tt >= 1.0:
+        return GapResult(1.0, Route.LAPLACE, 0.0)
     m, a, xi = p.m, p.a, p.xi
     kappa = 0.5 * m * (m + 2 * a + 1)
     cu = c_ubh(p)
@@ -299,8 +314,9 @@ def z_bhft(p: ModelParams, t: float | None = None, nodes: int = 32) -> GapResult
     n_active = sum(1 for k in range(m + 1) if 1.0 - k * tt > 1e-9)
     rs = 1.0 - tt * np.arange(n_active)
 
-    def transforms(s: complex) -> np.ndarray:
-        return sgn * pref * _xi_coefficients(m, a, s * tt)[:n_active] * s ** (-kappa)
+    def transforms(ss: list) -> np.ndarray:
+        coef = _xi_coefficients(m, a, np.array([s * tt for s in ss]))[:, :n_active]
+        return sgn * pref * coef * np.array([s ** (-kappa) for s in ss])[:, None]
 
     w = xi ** np.arange(n_active)
     for nn in (nodes, nodes + 8, nodes + 16):

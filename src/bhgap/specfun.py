@@ -12,7 +12,8 @@ tail.  Scaled variants e^z * f(z) exist for Laplace-contour work where the
 bare values would overflow.  There, for Re z < 0.5 and for orders far below
 -|z|, e^z Gamma(a, z) is the tau integral int_0^inf e^-tau (z+tau)^(a-1) dtau
 taken by one fixed composite Gauss-Kronrod rule (`_gup_tau_rule`, no
-adaptive quadrature); e^z Gamma2(a; z, z) stays adaptive.
+adaptive quadrature, one batch for all of a contour's nodes);
+e^z Gamma2(a; z, z) stays adaptive, one call per node.
 
 The boxed int_0^x e^-u u^a (u+y)^-1 du has one panel set for both of its
 precisions: `gamma2_boxed` (Kronrod, float64) and `gamma2_boxed_dd` (one
@@ -233,9 +234,10 @@ def _tau_edges(tstar: float, s: float, top: float) -> np.ndarray:
     return np.array(left[::-1] + right)
 
 
-def _gup_tau_rule(c: float, z: complex) -> tuple[complex, float]:
+def _gup_tau_rule(cs, zs) -> tuple[list, list]:
     """e^z Gamma(c, z) = int_0^inf e^-tau (z+tau)^(c-1) dtau, z off the cut,
-    by one fixed composite Gauss-Kronrod rule.
+    by one fixed composite Gauss-Kronrod rule, for every pair (c, z) of cs
+    and zs: the values and error estimates as two lists.
 
     The integrand is analytic except at tau = -z, so on panels no wider than
     their distance from it the rule converges geometrically (Trefethen, SIAM
@@ -246,25 +248,40 @@ def _gup_tau_rule(c: float, z: complex) -> tuple[complex, float]:
     tau comes to -z, and e^-tau never meets the rounding of a large tau.
     The error estimate is the embedded Gauss rule's distance to the Kronrod
     value, per panel, plus the rounding of the exponents and the tail past
-    the last edge."""
-    tstar = max(-z.real, 0.0)
-    s = abs(complex(z.real + tstar, z.imag))
-    e = _tau_edges(tstar, s, tstar + 45.0 + 10.0 * abs(c))
-    top = e[-1]
-    h = 0.5 * np.diff(e)[:, None]
+    the last edge.
+
+    The panels of all pairs share one pass of the elementwise logarithms
+    and exponentials.  The rule's matrix-vector products run per pair: a
+    BLAS product's last bit can depend on a row's place in its matrix (for
+    |f| @ w in about 40% of slices), and a pair's value and error must not
+    depend on the batch it came in."""
+    edges, scales = [], []
+    for c, z in zip(cs, zs):
+        tstar = max(-z.real, 0.0)
+        scales.append(abs(complex(z.real + tstar, z.imag)))
+        edges.append(_tau_edges(tstar, scales[-1], tstar + 45.0 + 10.0 * abs(c)))
+    panels = [len(e) - 1 for e in edges]
+    rows = np.cumsum([0] + panels)
+    left = np.concatenate([e[:-1] for e in edges])
+    h = np.concatenate([0.5 * np.diff(e) for e in edges])[:, None]
     v = h * _GK_T
-    lw = (c - 1.0) * np.log((z + e[:-1])[:, None] + v)
-    f = h * np.exp(-e[:-1])[:, None] * np.exp(lw - v)
-    val = complex((f @ _GK_W).sum())
-    # each exponent lw - v is off by eps times its size, at most
-    # |c-1| (|ln|z+tau|| + pi) + v with |z+tau| in [s, |z| + top] and v below
-    # a panel width
-    size = abs(c - 1.0) * (max(abs(math.log(s)), math.log(abs(z) + top)) + math.pi) + _TAU_PANEL
-    err = float(np.abs(f @ _GK_D).sum()) + _EPS * (size + 4.0) * float((np.abs(f) @ _GK_W).sum())
-    # past top >= tstar, |z + tau| grows no faster than tau and
-    # (c-1)/|z + top| < 1/2, so the tail is at most 2 e^-top |z + top|^(c-1)
-    tail = 2.0 * math.exp(-top + (c - 1.0) * math.log(abs(z + top)))
-    return val, err + tail
+    lw = np.repeat(np.array(cs) - 1.0, panels)[:, None] * np.log(
+        (np.repeat(np.array(zs), panels) + left)[:, None] + v)
+    f = h * np.exp(-left)[:, None] * np.exp(lw - v)
+    vals, errs = [], []
+    for c, z, e, s, r0, r1 in zip(cs, zs, edges, scales, rows, rows[1:]):
+        fp = f[r0:r1]
+        top = e[-1]
+        vals.append(complex((fp @ _GK_W).sum()))
+        # each exponent lw - v is off by eps times its size, at most
+        # |c-1| (|ln|z+tau|| + pi) + v with |z+tau| in [s, |z| + top] and v
+        # below a panel width
+        size = abs(c - 1.0) * (max(abs(math.log(s)), math.log(abs(z) + top)) + math.pi) + _TAU_PANEL
+        err = float(np.abs(fp @ _GK_D).sum()) + _EPS * (size + 4.0) * float((np.abs(fp) @ _GK_W).sum())
+        # past top >= tstar, |z + tau| grows no faster than tau and
+        # (c-1)/|z + top| < 1/2, so the tail is at most 2 e^-top |z + top|^(c-1)
+        errs.append(err + 2.0 * math.exp(-top + (c - 1.0) * math.log(abs(z + top))))
+    return vals, errs
 
 
 def _cf_is_safe(a: float, z: complex) -> bool:
@@ -301,23 +318,37 @@ def gamma_upper(a: float, z: complex) -> SpecFunResult:
     return SpecFunResult(emz * r.value, abs(emz) * r.est_abs_error)
 
 
-def gamma_upper_scaled(a: float, z: complex) -> SpecFunResult:
-    """e^z Gamma(a, z), stable on Laplace contours where Re z << 0."""
-    z = complex(z)
-    if _on_cut(z):
-        raise DomainError(f"gamma_upper branch cut: z={z}")
-    if z.real >= 0.5:
-        if a > 1e-12 and abs(z) < a + 1.0:  # the continued fraction fails here
-            ez = cmath.exp(z)
-            v, err = _upper_series(a, z)
-            return SpecFunResult(ez * v, abs(ez) * err + abs(ez * v) * 4 * _EPS)
-        if _cf_is_safe(a, z):
-            cf, cerr = _cf_scaled(a, z)
-            za = _powc(z, a)
-            v = za * cf
-            return SpecFunResult(v, abs(za) * cerr + abs(v) * 4 * _EPS)
-    v, err = _gup_tau_rule(a, z)
-    return SpecFunResult(v, err)
+def gamma_upper_scaled(a, z):
+    """e^z Gamma(a, z), stable on Laplace contours where Re z << 0.
+
+    a and z may also be equal-length sequences of orders and points: the
+    result is then a list with one SpecFunResult per pair, and every pair
+    that takes the tau rule is evaluated in one `_gup_tau_rule` batch."""
+    if np.ndim(z) == 0:
+        return gamma_upper_scaled([a], [z])[0]
+    a, z = list(a), [complex(x) for x in z]
+    out, tau = [None] * len(z), []
+    for i, (ai, zi) in enumerate(zip(a, z)):
+        if _on_cut(zi):
+            raise DomainError(f"gamma_upper branch cut: z={zi}")
+        if zi.real >= 0.5:
+            if ai > 1e-12 and abs(zi) < ai + 1.0:  # the continued fraction fails here
+                ez = cmath.exp(zi)
+                v, err = _upper_series(ai, zi)
+                out[i] = SpecFunResult(ez * v, abs(ez) * err + abs(ez * v) * 4 * _EPS)
+                continue
+            if _cf_is_safe(ai, zi):
+                cf, cerr = _cf_scaled(ai, zi)
+                za = _powc(zi, ai)
+                v = za * cf
+                out[i] = SpecFunResult(v, abs(za) * cerr + abs(v) * 4 * _EPS)
+                continue
+        tau.append(i)
+    if tau:
+        vals, errs = _gup_tau_rule([a[i] for i in tau], [z[i] for i in tau])
+        for i, v, err in zip(tau, vals, errs):
+            out[i] = SpecFunResult(v, err)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +366,25 @@ def quad(*args, **kwargs):
 def _quad_c(f, lo: float, hi: float, want_imag: bool = True):
     """Integrate a complex-valued integrand over [lo, hi] (two real quads).
 
-    Tolerances sit at the QUADPACK roundoff floor; full_output suppresses the
-    roundoff warning and the returned error estimate stays honest.
+    The imaginary part's quad revisits nearly every abscissa of the real
+    part's, so f is called once per abscissa and the two quads read its
+    values from one dict.  Tolerances sit at the QUADPACK roundoff floor;
+    full_output suppresses the roundoff warning and the returned error
+    estimate stays honest.
     """
-    re, ere = quad(lambda x: complex(f(x)).real, lo, hi,
-                   epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)[:2]
+    seen = {}
+
+    def real(x: float) -> float:
+        fx = seen[x] = f(x)
+        return fx.real
+
+    def imag(x: float) -> float:
+        fx = seen.get(x)
+        return (f(x) if fx is None else fx).imag
+
+    re, ere = quad(real, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)[:2]
     if want_imag:
-        im, eim = quad(lambda x: complex(f(x)).imag, lo, hi,
-                       epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)[:2]
+        im, eim = quad(imag, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)[:2]
     else:
         im, eim = 0.0, 0.0
     return re + 1j * im, ere + eim
@@ -612,8 +654,10 @@ def gamma2_diag_scaled(a: float, z: complex) -> SpecFunResult:
     pts.append(hi)
     pts = sorted(set(pts))
 
+    z2 = 2.0 * z
+
     def f(tau: float) -> complex:
-        return cmath.exp(a * cmath.log(z + tau) - tau) / (2.0 * z + tau)
+        return cmath.exp(a * cmath.log(z + tau) - tau) / (z2 + tau)
 
     val = 0j
     err = 0.0

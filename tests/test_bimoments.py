@@ -204,35 +204,45 @@ def test_ubh_rescaled_consistency_at_real_z():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+# contour nodes on both sides of Re z = 0.5, where gamma_upper_scaled leaves
+# the series and continued fraction for the tau rule
+NODES = [complex(0.3, 0.4), complex(-12.5, 20.1), complex(2.0, 7.0), complex(9.0, 0.5)]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 30])
 def test_node_evaluates_each_special_function_once_per_order(monkeypatch, m):
     # a node needs e^z Gamma(a+1+j, z), e^z Gamma(-a-1-j, z) and
     # e^z Gamma2(a+j; z, z) for j < m, and computes one value of each family;
-    # the m = 1 border needs the first only
-    calls = Counter()
+    # the m = 1 border needs the first only.  A contour's incomplete gammas
+    # are one batched call, its Gamma2 values one call per node
+    calls, values = Counter(), Counter()
 
     def counted(fn):
         def wrapped(order, z):
             calls[fn.__name__] += 1
+            values[fn.__name__] += np.size(z)
             return fn(order, z)
         return wrapped
 
     for name in ("gamma_upper_scaled", "gamma2_diag_scaled"):
         monkeypatch.setattr(bimoments, name, counted(getattr(bimoments, name)))
     bimoments.clear_caches()
-    ensembles._xi_coefficients(m, 0.5, complex(0.3, 0.4))
-    want = (1, 0) if m == 1 else (2, 1)
-    assert (calls["gamma_upper_scaled"], calls["gamma2_diag_scaled"]) == want
+    bimoments._node_blocks(m, 0.5, tuple(NODES))
+    n = len(NODES)
+    want = (n, 0) if m == 1 else (2 * n, n)
+    assert (values["gamma_upper_scaled"], values["gamma2_diag_scaled"]) == want
+    assert calls["gamma_upper_scaled"] == 1
 
 
-def test_laplace_caches_hold_at_most_one_node(monkeypatch):
-    # no z recurs across contour nodes, so nothing older than a node is kept
+def test_laplace_caches_hold_at_most_one_contour(monkeypatch):
+    # no contour recurs, so nothing older than a contour is kept
     fake = lambda order, z: SpecFunResult(complex(order, 1.0), 0.0)
-    monkeypatch.setattr(bimoments, "gamma_upper_scaled", fake)
+    monkeypatch.setattr(bimoments, "gamma_upper_scaled",
+                        lambda orders, zs: [fake(o, z) for o, z in zip(orders, zs)])
     monkeypatch.setattr(bimoments, "gamma2_diag_scaled", fake)
     bimoments.clear_caches()
     for i in range(200):
-        ensembles._xi_coefficients(5, 0.5, complex(0.3, 0.1 + 0.01 * i))
+        ensembles._xi_coefficients(5, 0.5, np.array(NODES) + 0.01j * i)
     assert bimoments._node_blocks.cache_info().currsize <= 1
     bimoments.clear_caches()
     assert bimoments._node_blocks.cache_info().currsize == 0
@@ -300,8 +310,22 @@ def test_ladder_nodes_cover_both_directions():
 
 @pytest.mark.parametrize("m, a, z", LADDER_NODES)
 def test_node_ladders_match_mpmath(m, a, z):
-    got = bimoments._node_ladders(m, a, z)
+    got = [family[0] for family in bimoments._node_ladders(m, a, [z])]
     want = mp_ladders(m, a, z)
     for fam, g, w in zip(("pos", "neg", "g2"), got, want):
         for j in range(m):
             assert abs(g[j] - w[j]) <= 1e-12 * abs(w[j]), (fam, j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_contour_batch_is_bitwise_node_by_node(m):
+    # a contour's coefficients are one batch; each node's row must carry the
+    # bits of the same call at that node alone, or a node's value would
+    # depend on its contour.  The value hyperbola at t = 0.46 runs from the
+    # continued fraction (Re z >= 0.5) into the tau rule (Re z < 0.5), and
+    # odd m reads the border
+    zs = hyperbola_nodes(ensembles._VALUE_CONTOUR, 0.46) + NODES
+    assert any(z.real >= 0.5 for z in zs) and any(z.real < 0.5 for z in zs)
+    got = ensembles._xi_coefficients(m, 0.5, np.array(zs))
+    for z, row in zip(zs, got):
+        assert row.tobytes() == ensembles._xi_coefficients(m, 0.5, z).tobytes(), z

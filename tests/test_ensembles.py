@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -308,37 +309,57 @@ def test_z_bhft_small_m_vs_simplex_quadrature_tight(m, a, xi, t):
 
 
 def _record_nodes(monkeypatch):
-    """Count the coefficient solves of z_bhft and record their nodes."""
-    zs = []
+    """Record the node arrays of z_bhft's coefficient calls, one per contour."""
+    contours = []
 
     def recorded(m, a, z):
-        zs.append(z)
+        contours.append(np.array(z))
         return _xi_coefficients(m, a, z)
 
     monkeypatch.setattr(ensembles, "_xi_coefficients", recorded)
-    return zs
+    return contours
 
 
 def test_z_bhft_one_solve_per_node(monkeypatch):
-    # every active coefficient reads the same node: one solve per node of
-    # the value and estimate contours, 2 (N + 1) for a first-rung result
-    zs = _record_nodes(monkeypatch)
+    # every active coefficient reads the same node: one coefficient call per
+    # contour, whose nodes cover the value and estimate contours once each,
+    # 2 (N + 1) nodes for a first-rung result
+    contours = _record_nodes(monkeypatch)
     r = z_bhft(ModelParams(3, 0.5, 0.0, 0.7, 0.0), 0.26)
     assert r.est_error <= 1e-6
-    assert len(zs) <= 2 * (32 + 1)
+    assert [c.shape for c in contours] == [(32 + 1,)] * 2
+    assert len(set(np.concatenate(contours))) == 2 * (32 + 1)
 
 
 def test_z_bhft_default_and_nodes40_share_no_node(monkeypatch):
     # nodes=40 is the benchmark's reference for m >= 3: it must evaluate
     # neither of the default call's contours
-    zs = _record_nodes(monkeypatch)
+    contours = _record_nodes(monkeypatch)
     p = ModelParams(4, 0.9, 0.0, 0.8, 0.0)
     z_bhft(p, 0.46)
-    default = set(zs)
-    zs.clear()
+    default = set(np.concatenate(contours))
+    contours.clear()
     z_bhft(p, 0.46, nodes=40)
     assert len(default) == 2 * (32 + 1)
-    assert not default & set(zs)
+    assert not default & set(np.concatenate(contours))
+
+
+@pytest.mark.parametrize("nodes", [-3, 0, 2.5])
+def test_z_bhft_rejects_bad_node_counts(nodes):
+    # a negative count once returned 0.0 with est_error 1e-12
+    with pytest.raises(DomainError):
+        z_bhft(ModelParams(3, 0.5, 0.0, 0.7, 0.0), 0.4, nodes=nodes)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("t", [1.0, 1.5, 1e6])
+def test_z_bhft_is_exactly_one_from_unit_cutoff(m, t):
+    # no eigenvalue exceeds the unit trace, so the value is 1 with no contour
+    # work; the panels of the contour's tau rule would grow with t
+    start = time.perf_counter()
+    r = z_bhft(ModelParams(m, 0.5, 0.0, 0.7, 0.0), t)
+    assert time.perf_counter() - start < 0.1
+    assert (r.value, r.route, r.est_error) == (1.0, Route.LAPLACE, 0.0)
 
 
 def test_z_bhft_small_shifted_time():
@@ -381,19 +402,20 @@ def pf_values_by_matrix(m, a, z, us):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_xi_coefficients_match_matrix_by_matrix(m):
-    # a node builds its m + 1 matrices as one stack with one Pfaffian call;
-    # the same special-function values give the same coefficients
+    # a contour builds its nodes' m + 1 matrices as one stack with one
+    # Pfaffian call; the same special-function values give the same
+    # coefficients
     us = np.arange(m + 1, dtype=float)
     vand = np.vander(us, m + 1, increasing=True)
-    for z in (complex(0.3, 0.4), complex(-12.5, 20.1), complex(2.0, 7.0)):
-        got = _xi_coefficients(m, 0.5, z)
+    zs = [complex(0.3, 0.4), complex(-12.5, 20.1), complex(2.0, 7.0)]
+    for z, got in zip(zs, _xi_coefficients(m, 0.5, np.array(zs))):
         want = np.linalg.solve(vand, pf_values_by_matrix(m, 0.5, z, us))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_fixed_trace_node_keeps_traced_layers(monkeypatch):
     # the benchmark's traced fixed-trace run needs specfun.quad calls and
-    # reads the element and Pfaffian layers: each node makes one element
+    # reads the element and Pfaffian layers: each contour makes one element
     # call and one Pfaffian call, and reaches quad only through Gamma2
     calls = Counter()
 
@@ -411,8 +433,8 @@ def test_fixed_trace_node_keeps_traced_layers(monkeypatch):
         count(mod, name)
     p = ModelParams(3, 0.5, 0.0, 0.7, 0.0)
     z_bhft(p, 0.46)
-    nodes = calls["_xi_coefficients"]
-    assert nodes > 0 and calls["ubh_pf_element_rescaled"] == calls["pfaffian"] == nodes
+    contours = calls["_xi_coefficients"]
+    assert contours > 0 and calls["ubh_pf_element_rescaled"] == calls["pfaffian"] == contours
     assert calls["quad"] > 0
     calls.clear()
     monkeypatch.setattr(bimoments, "gamma2_diag_scaled", lambda a, z: SpecFunResult(0.5j, 0.0))

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import warnings
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -204,6 +205,38 @@ def test_gamma_upper_scaled_off_contour_grid():
         err = abs(got.value - want)
         assert err <= max(10.0 * abs(quad_tau_scaled(c, z) - want), 1e-13 * abs(want)), (c, z)
         assert err <= got.est_abs_error, (c, z)
+
+
+def test_gamma_upper_scaled_batch_is_bitwise_pair_by_pair():
+    # a batch shares one pass of the tau rule's logarithms and exponentials
+    # among its pairs; each pair's value and error keep the bits of the same
+    # call on that pair alone, on every branch
+    rng = random.Random(7)
+    pairs = [(rng.uniform(-6.0, 2.5), complex(rng.uniform(-150.0, 12.0), rng.uniform(-40.0, 40.0)))
+             for _ in range(60)]
+    pairs += [(3.5, complex(1.2, 0.4)), (1.5, complex(6.0, 2.0)), (-4.9, 8.761301324157845)]
+    batch = gamma_upper_scaled([c for c, _ in pairs], [z for _, z in pairs])
+    for (c, z), got in zip(pairs, batch):
+        one = gamma_upper_scaled(c, z)
+        assert (got.value, got.est_abs_error) == (one.value, one.est_abs_error), (c, z)
+
+
+def test_quad_c_calls_its_integrand_once_per_abscissa():
+    # the real and imaginary quads share the integrand's values; both parts
+    # and their error estimates are those of two independent quads
+    z, a = complex(-6.0, 1.0), 0.75
+    calls = Counter()
+
+    def f(tau):
+        calls[tau] += 1
+        return cmath.exp(a * cmath.log(z + tau) - tau) / (2.0 * z + tau)
+
+    got = specfun._quad_c(f, 6.0, 12.0)
+    assert calls and max(calls.values()) == 1
+    kw = dict(epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)
+    re, ere = quad(lambda x: f(x).real, 6.0, 12.0, **kw)[:2]
+    im, eim = quad(lambda x: f(x).imag, 6.0, 12.0, **kw)[:2]
+    assert got == (re + 1j * im, ere + eim)
 
 
 def test_gamma_upper_scaled_never_calls_quad(monkeypatch):
